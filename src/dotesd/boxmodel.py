@@ -12,6 +12,12 @@ and a complex coherence factor phi(t):
 where a, b are the stay-up and transfer amplitudes of the block containing
 |up, J, m> and d is the stay-down amplitude of |down, J, m>. Weights
 w(J) = n(N, J)/4^N count irrep multiplicities per (J, m) basis state.
+
+Every block oscillates at a single Rabi frequency, so q and phi are sums of
+cosines and sines over a fixed table of lines (BoxChannel). On a uniform
+time grid the exponentials factor over a sqrt(M) x sqrt(M) split of the
+grid, and the sum over lines is a fixed-order contraction that never goes
+through BLAS: results are bitwise independent of BLAS threads and workers.
 """
 
 from __future__ import annotations
@@ -20,13 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, electron_larmor_uev
 
 # Above this bath size the J-recursion for multiplicities is replaced by the
 # equivalent characteristic-function route (see _weights_fft).
 _RECURSION_LIMIT = 4096
+
+# (x rows + y rows) x lines per contraction step of _trig_sums; keeps its
+# temporaries to tens of MB for any bath size and any number of times.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -77,6 +86,8 @@ def _weights_fft(n_spins: int) -> np.ndarray:
     convolution power of the flat 4-point kernel through its characteristic
     function, in extended precision so the differences stay accurate.
     """
+    import scipy.fft  # deferred: about 0.4 s of import time, needed only here
+
     size = 3 * n_spins + 1
     nfft = scipy.fft.next_fast_len(size, real=True)
     kernel = np.zeros(nfft, dtype=np.longdouble)
@@ -214,13 +225,92 @@ class ChannelTrace:
         return ChannelSnapshot(q=float(self.q[i]), phi=complex(self.phi[i]))
 
 
-class BoxChannel:
-    """Precomputed block data for one dot; evaluates (q, phi) on any times.
+def _expm1i(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of exp(i theta) - 1, both exactly 0 at theta = 0.
 
-    All per-(J, m) quantities are laid out in ascending (J, m) order once at
-    construction; every evaluation reduces the per-term contributions in that
-    fixed order with extended-precision accumulation, so results do not depend
-    on chunking or worker count.
+    The real part is written as -2 sin^2(theta/2) so it keeps full relative
+    precision for small theta instead of cancelling in cos(theta) - 1.
+    """
+    half = np.sin(0.5 * theta)
+    return -2.0 * half * half, np.sin(theta)
+
+
+def _trig_sums(nu, cos_coef, sin_coef, x, y) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cosine and sine series over the lines nu_k on the times x_i + y_j.
+
+    Returns C[i, j] = sum_k cos_coef_k (cos(nu_k t) - 1) and, unless
+    sin_coef is None, S[i, j] = sum_k sin_coef_k sin(nu_k t).
+
+    With E = exp(i nu x) - 1 and F = exp(i nu y) - 1, exp(i nu t) - 1 is
+    E F + E + F, so
+
+        cos(nu t) - 1 = (Re E Re F - Im E Im F) + Re E + Re F
+        sin(nu t)     = (Re E Im F + Im E Re F) + Im E + Im F.
+
+    Over the columns [k | k'] (each line twice) that is one contraction of
+    the rows [a Re E | -a Im E], [a | 0], [b Im E | b Re E], [0 | b] with the
+    rows [Re F | Im F], [1 | 0], so the exponentials are needed on x and on
+    y only, not on every x_i + y_j. C and S are exactly 0 where x_i = y_j = 0.
+
+    The contraction is einsum without path optimization: numpy's own loops,
+    never BLAS, so the summation order and every bit of the result are
+    independent of the BLAS thread count. Lines are taken in chunks whose
+    size depends only on len(x) + len(y), which bounds the temporaries.
+    """
+    nx, ny = len(x), len(y)
+    rows = nx + 1 if sin_coef is None else 2 * (nx + 1)
+    acc = np.zeros((rows, ny + 1))
+    chunk = max(1, _CHUNK_ELEMENTS // (nx + ny))
+    for lo in range(0, len(nu), chunk):
+        part = slice(lo, lo + chunk)
+        a = cos_coef[part]
+        k = len(a)
+        e_re, e_im = _expm1i(np.outer(x, nu[part]))
+        f_re, f_im = _expm1i(np.outer(y, nu[part]))
+        lhs = np.zeros((rows, 2 * k))
+        np.multiply(a, e_re, out=lhs[:nx, :k])
+        np.multiply(-a, e_im, out=lhs[:nx, k:])
+        lhs[nx, :k] = a
+        if sin_coef is not None:
+            b = sin_coef[part]
+            np.multiply(b, e_im, out=lhs[nx + 1 : -1, :k])
+            np.multiply(b, e_re, out=lhs[nx + 1 : -1, k:])
+            lhs[-1, k:] = b
+        rhs = np.zeros((ny + 1, 2 * k))
+        rhs[:ny, :k] = f_re
+        rhs[:ny, k:] = f_im
+        rhs[ny, :k] = 1.0
+        acc += np.einsum("ik,jk->ij", lhs, rhs)
+
+    def fold(block):
+        return block[:-1, :-1] + block[:-1, -1:] + block[-1:, :-1]
+
+    return fold(acc[: nx + 1]), None if sin_coef is None else fold(acc[nx + 1 :])
+
+
+class BoxChannel:
+    """Line spectrum of one dot's channel; evaluates (q, phi) on any times.
+
+    Each two-level block evolves with one Rabi frequency Omega: its amplitude
+    u = cos(Omega t) - i d sin(Omega t), d = Delta/sqrt(Delta^2 + V^2), is
+    ((1 - d)/2) e^{i Omega t} + ((1 + d)/2) e^{-i Omega t}. Both channel
+    parameters are therefore sums over lines nu_k with real amplitudes:
+
+        q(t)   = sum_k g_k (cos(nu_k t) - 1),   nu = 2 Omega, g = -w (V/s)^2/2
+        phi(t) = sum_k a_k cos(nu_k t) + i sum_k b_k sin(nu_k t)
+
+    The phi lines are the interior products u_m u_{m-1} (the block center
+    energy is -alpha/4 for every two-dimensional block, so only the lines
+    +-(Omega_m + Omega_{m-1}) and +-(Omega_m - Omega_{m-1}) remain, each
+    +- pair merged into one cosine and one sine amplitude), the two lines of
+    each sector edge (a block amplitude times the phase of the
+    one-dimensional state at m = +-J) and the J = 0 line. The table is built
+    once, in a fixed order, at construction.
+
+    A uniform grid t_i = t_0 + i dt is evaluated as t = x_a + y_b with
+    x_a = t_0 + a L dt, y_b = b dt and L = ceil(sqrt(M)), so each line needs
+    about 2 sqrt(M) exponentials instead of M; any other times use
+    x = times, y = 0. _trig_sums does the fixed-order contraction.
     """
 
     def __init__(
@@ -241,86 +331,75 @@ class BoxChannel:
         table = sector_weights(n_spins)
 
         # Flattened 2-dim blocks, ascending (J, block m = -J .. J-1).
-        two_j_rep = np.repeat(table.two_j, table.two_j)
-        w_rep = np.repeat(table.weights, table.two_j)
-        offs = np.concatenate([np.arange(tj) for tj in table.two_j]) if len(table.two_j) else np.array([], dtype=np.intp)
-        two_mb = -two_j_rep + 2 * offs
-        j = two_j_rep / 2.0
-        mb = two_mb / 2.0
+        two_j = np.repeat(table.two_j, table.two_j)
+        w = np.repeat(table.weights, table.two_j)
+        offs = np.arange(len(two_j)) - np.repeat(np.cumsum(table.two_j) - table.two_j, table.two_j)
+        j = two_j / 2.0
+        mb = offs - j
         delta = omega_e / 2.0 + alpha * (2.0 * mb + 1.0) / 4.0
         v = (alpha / 2.0) * np.sqrt(j * (j + 1.0) - mb * (mb + 1.0))
         s = np.hypot(delta, v)
-        self._omega = s / hbar
-        self._dtilde = delta / s
-        self._wr = w_rep * (v / s) ** 2   # weighted q amplitude per block
+        omega = s / hbar
+        d = delta / s
 
-        # phi terms in ascending (J, m) order, m = -J .. J. Interior terms are
-        # products of consecutive block amplitudes u_m u_{m-1}; the edge terms
-        # carry explicit phases (the block center energy is -alpha/4 for every
-        # 2-dim block, so interior phases cancel).
-        starts = np.concatenate(([0], np.cumsum(table.two_j)[:-1])).astype(np.intp)
-        n_terms = int(np.sum(table.two_j + 1))
-        self._n_terms = n_terms
-        bottom_pos, bottom_blk, bottom_rate = [], [], []
-        top_pos, top_blk, top_rate = [], [], []
-        zero_pos = []
-        int_pos, int_hi, int_lo = [], [], []
-        w_term = np.empty(n_terms)
-        pos = 0
-        for k, tj in enumerate(table.two_j):
-            w_term[pos : pos + tj + 1] = table.weights[k]
-            if tj == 0:
-                zero_pos.append(pos)
-                pos += 1
-                continue
-            b0 = int(starts[k])
-            jval = tj / 2.0
-            bottom_pos.append(pos)
-            bottom_blk.append(b0)
-            bottom_rate.append((-omega_e / 2.0 + alpha * jval / 2.0 + alpha / 4.0) / hbar)
-            for i in range(1, tj):
-                int_pos.append(pos + i)
-                int_hi.append(b0 + i)
-                int_lo.append(b0 + i - 1)
-            top_pos.append(pos + tj)
-            top_blk.append(b0 + tj - 1)
-            top_rate.append((omega_e / 2.0 + alpha * jval / 2.0 + alpha / 4.0) / hbar)
-            pos += tj + 1
-        self._w_term = w_term
-        self._bottom = (np.array(bottom_pos, dtype=np.intp), np.array(bottom_blk, dtype=np.intp), np.array(bottom_rate))
-        self._top = (np.array(top_pos, dtype=np.intp), np.array(top_blk, dtype=np.intp), np.array(top_rate))
-        self._zero_pos = np.array(zero_pos, dtype=np.intp)
-        self._interior = (np.array(int_pos, dtype=np.intp), np.array(int_hi, dtype=np.intp), np.array(int_lo, dtype=np.intp))
-        self._omega_e_rate = omega_e / hbar
+        self._q_nu = 2.0 * omega
+        self._q_cos = -0.5 * w * (v / s) ** 2
+
+        # Interior products: block hi (m) and its predecessor lo (m - 1).
+        hi = np.flatnonzero(offs > 0)
+        lo = hi - 1
+        w_in, d_hi, d_lo = w[hi], d[hi], d[lo]
+        # Edges: the bottom block times e^{+i beta t}, the top block times
+        # e^{-i tau t}; each of their lines has equal cos and sin amplitudes.
+        bottom = offs == 0
+        top = offs == two_j - 1
+        edge = alpha * j / 2.0 + alpha / 4.0
+        beta = (-omega_e / 2.0 + edge[bottom]) / hbar
+        tau = (omega_e / 2.0 + edge[top]) / hbar
+        zero = table.two_j == 0
+        edge_amp = np.concatenate(
+            (
+                w[bottom] * (1.0 - d[bottom]) / 2.0,
+                w[bottom] * (1.0 + d[bottom]) / 2.0,
+                w[top] * (1.0 - d[top]) / 2.0,
+                w[top] * (1.0 + d[top]) / 2.0,
+                table.weights[zero],
+            )
+        )
+        self._phi_nu = np.concatenate(
+            (
+                omega[hi] + omega[lo],
+                omega[hi] - omega[lo],
+                beta + omega[bottom],
+                beta - omega[bottom],
+                omega[top] - tau,
+                -omega[top] - tau,
+                np.full(int(zero.sum()), -omega_e / hbar),
+            )
+        )
+        self._phi_cos = np.concatenate(
+            (w_in * (1.0 + d_hi * d_lo) / 2.0, w_in * (1.0 - d_hi * d_lo) / 2.0, edge_amp)
+        )
+        self._phi_sin = np.concatenate(
+            (-w_in * (d_hi + d_lo) / 2.0, w_in * (d_lo - d_hi) / 2.0, edge_amp)
+        )
+        self._phi_at_zero = math.fsum(self._phi_cos)
 
     def evaluate(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(q, phi) arrays on the given times (ns)."""
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        q = np.empty(len(times))
-        phi = np.empty(len(times), dtype=np.complex128)
-        chunk = max(8, int(4e6 / max(1, len(self._omega))))
-        for i0 in range(0, len(times), chunk):
-            tc = times[i0 : i0 + chunk]
-            ph = np.outer(self._omega, tc)
-            cs = np.cos(ph)
-            sn = np.sin(ph)
-            np.multiply(sn, sn, out=ph)
-            q[i0 : i0 + chunk] = np.sum(
-                self._wr[:, None] * ph, axis=0, dtype=np.longdouble
-            )
-            u = cs - 1j * self._dtilde[:, None] * sn
-            terms = np.empty((self._n_terms, len(tc)), dtype=np.complex128)
-            bpos, bblk, brate = self._bottom
-            terms[bpos] = u[bblk] * np.exp(1j * np.outer(brate, tc))
-            tpos, tblk, trate = self._top
-            terms[tpos] = u[tblk] * np.exp(-1j * np.outer(trate, tc))
-            ipos, ihi, ilo = self._interior
-            terms[ipos] = u[ihi] * u[ilo]
-            if len(self._zero_pos):
-                terms[self._zero_pos] = np.exp(-1j * self._omega_e_rate * tc)[None, :]
-            terms *= self._w_term[:, None]
-            phi[i0 : i0 + chunk] = np.sum(terms, axis=0, dtype=np.clongdouble)
-        return q, phi
+        size = len(times)
+        x, y = times, np.zeros(1)
+        if size > 2:
+            step = (times[-1] - times[0]) / (size - 1)
+            if np.array_equal(times, times[0] + np.arange(size) * step):
+                cols = math.isqrt(size - 1) + 1
+                x = times[0] + np.arange(0, size, cols) * step
+                y = np.arange(cols) * step
+        q, _ = _trig_sums(self._q_nu, self._q_cos, None, x, y)
+        phi_cos, phi_sin = _trig_sums(self._phi_nu, self._phi_cos, self._phi_sin, x, y)
+        phi = (phi_cos + self._phi_at_zero) + 1j * phi_sin
+        return q.ravel()[:size], phi.ravel()[:size]
 
 
 def compute_channel(

@@ -51,11 +51,24 @@ def _add_field_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--b-mt", type=float, default=None, help="magnetic field in millitesla")
 
 
-def _bell(args) -> BellLabel:
+def _bell(config: RunConfig, args) -> BellLabel:
+    """--bell when given, else the configuration's bell key."""
+    label = config.bell if args.bell is None else args.bell
     try:
-        return BellLabel(args.bell)
+        return BellLabel(label)
     except ValueError as exc:
-        raise ConfigError(f"unknown Bell label {args.bell!r}") from exc
+        raise ConfigError(f"unknown Bell label {label!r}") from exc
+
+
+def _workers(args) -> int | None:
+    """--workers when given, else $DOTESD_WORKERS when set."""
+    value = os.environ.get(_WORKERS_ENV)
+    if args.workers is not None or not value:
+        return args.workers
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{_WORKERS_ENV} must be an integer") from exc
 
 
 def cmd_channel(config: RunConfig, args, out) -> int:
@@ -79,7 +92,7 @@ def cmd_concurrence(config: RunConfig, args, out) -> int:
     trace = concurrence_trace(
         config,
         _field_tesla(args),
-        bell=_bell(args),
+        bell=_bell(config, args),
         high_field=args.high_field,
     )
     _write_table(
@@ -99,11 +112,10 @@ def cmd_sweep(config: RunConfig, args, out) -> int:
         b_min, b_max = args.b_min_t, args.b_max_t
     if b_max < b_min:
         raise ConfigError("sweep needs b_max >= b_min")
+    if args.b_steps < 1:
+        raise ConfigError("--b-steps must be >= 1")
     grid = np.linspace(b_min, b_max, args.b_steps)
-    workers = args.workers
-    if workers is None and os.environ.get(_WORKERS_ENV):
-        workers = int(os.environ[_WORKERS_ENV])
-    result = sweep_b(config, grid, bell=_bell(args), workers=workers)
+    result = sweep_b(config, grid, bell=_bell(config, args), workers=_workers(args))
     rows = []
     for rec in result.records:
         death = rec.death
@@ -156,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concurrence", help="Bell-state concurrence and witness trace")
     _add_field_flags(p)
-    p.add_argument("--bell", default="psi-plus", help="psi-plus|psi-minus|phi-plus|phi-minus")
+    p.add_argument(
+        "--bell",
+        default=None,
+        help="psi-plus|psi-minus|phi-plus|phi-minus (default: the config's bell key)",
+    )
     p.add_argument(
         "--high-field",
         action="store_true",
@@ -169,8 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-min-mt", type=float, default=None)
     p.add_argument("--b-max-mt", type=float, default=None)
     p.add_argument("--b-steps", type=int, default=100)
-    p.add_argument("--bell", default="psi-plus")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--bell", default=None, help="Bell label (default: the config's bell key)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=f"worker processes, at most the field and CPU counts (default: ${_WORKERS_ENV} or 1)",
+    )
 
     p = sub.add_parser("dephasing", help="pure-dephasing coherence and T2* fit")
     p.add_argument("--mode", choices=("uniform", "realistic"), default="uniform")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
+from .entanglement import BellLabel
 from .material import GAAS, DotGeometry, IsotopeSpec, MaterialSpec
 
 
@@ -69,6 +70,8 @@ class RunConfig:
             raise ConfigError("grid needs t_max_ns > 0 and t_steps >= 2")
         if self.grid.horizon_ns > self.grid.t_max_ns:
             raise ConfigError("horizon_ns cannot exceed t_max_ns")
+        if self.bell not in {label.value for label in BellLabel}:
+            raise ConfigError(f"unknown Bell label {self.bell!r}")
         for i, dot in enumerate(self.dots):
             if dot.n_spins < 1 or dot.n_cells < 1:
                 raise ConfigError(f"dot {i + 1}: n_spins and n_cells must be >= 1")

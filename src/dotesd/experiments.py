@@ -14,6 +14,7 @@ finite-field concurrence trace from above.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -234,6 +235,13 @@ def _sweep_record(args) -> BFieldRecord:
     return BFieldRecord(b_field_t=b_field_t, death=death, max_occupation_leak=float(leak))
 
 
+def pool_size(workers: int | None, n_fields: int) -> int:
+    """Worker processes a sweep starts: min(workers, n_fields, CPUs); 1 is serial."""
+    if workers is None:
+        return 1
+    return max(1, min(workers, n_fields, os.cpu_count() or 1))
+
+
 def sweep_b(
     config: RunConfig,
     b_grid,
@@ -244,7 +252,8 @@ def sweep_b(
     """Sudden-death and witness-zero times over an ordered magnetic-field grid.
 
     Records are computed independently per field and merged in grid order, so
-    the result is identical for any worker count.
+    the result is identical for any worker count. The pool never exceeds the
+    number of fields or of CPUs (see pool_size).
     """
     config.validate()
     b_grid = np.asarray(b_grid, dtype=np.float64)
@@ -252,8 +261,9 @@ def sweep_b(
         raise ValueError("b_grid must be ordered")
     tol = config.zero_tol if zero_tol is None else zero_tol
     jobs = [(config, float(b), bell.value, tol) for b in b_grid]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = pool_size(workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(_sweep_record, jobs, chunksize=4))
     else:
         records = [_sweep_record(job) for job in jobs]

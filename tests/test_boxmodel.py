@@ -238,6 +238,30 @@ class TestComputeChannel:
         np.testing.assert_allclose(trace.phi[1:], phi_ref, atol=1e-13)
 
 
+class TestLineSpectrum:
+    @pytest.mark.parametrize("b", [0.0, 0.02, 1.0])
+    def test_grid_path_matches_point_path(self, b):
+        channel = BoxChannel(50, A_BOX_50, b)
+        times = np.linspace(0.0, 100.0, 2000)
+        q, phi = channel.evaluate(times)
+        picks = np.array([1, 3, 160, 401, 777, 1024, 1500, 1998, 1999])
+        for i in picks:
+            q_i, phi_i = channel.evaluate([times[i]])
+            assert abs(q_i[0] - q[i]) <= 1e-13
+            assert abs(phi_i[0] - phi[i]) <= 1e-13
+        q_sub, phi_sub = channel.evaluate(times[picks])
+        assert np.abs(q_sub - q[picks]).max() <= 1e-13
+        assert np.abs(phi_sub - phi[picks]).max() <= 1e-13
+
+    def test_exact_values_at_zero(self):
+        channel = BoxChannel(50, A_BOX_50, 0.02)
+        for times in ([0.0], np.linspace(0.0, 100.0, 2000)):
+            q, phi = channel.evaluate(times)
+            assert q[0] == 0.0
+            assert phi[0].imag == 0.0
+            assert phi[0].real == pytest.approx(1.0, abs=1e-12)
+
+
 class TestApplySnapshot:
     def test_identity_map(self):
         rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])

@@ -1,13 +1,18 @@
 import io
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dotesd
 from dotesd.cli import main
 from dotesd.config import ConfigError, default_config, load_config
+
+# Subprocesses import dotesd from the same source tree as these tests.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dotesd.__file__)))
 
 
 def run_cli(*argv):
@@ -146,6 +151,31 @@ class TestConcurrenceCommand:
         assert code == 2
         assert "Bell label" in err
 
+    def test_yaml_bell_key_and_override(self, tmp_path):
+        path = tmp_path / "phi.yaml"
+        path.write_text(SMALL_CONFIG + "bell: phi-plus\n")
+        args = ("--config", str(path))
+        _, channel, _ = run_cli(*args, "channel", "--b-mt", "20")
+        _, q, re_phi, im_phi = parse_table(channel)[1].T
+        phi = re_phi + 1j * im_phi
+        cross = 2.0 * q * (1.0 - q)
+        code, out, _ = run_cli(*args, "concurrence", "--b-mt", "20")
+        assert code == 0
+        witness = parse_table(out)[1][:, 2]
+        np.testing.assert_allclose(witness, 0.5 * (cross - np.real(phi * phi)), rtol=0, atol=1e-12)
+        _, out, _ = run_cli(*args, "concurrence", "--b-mt", "20", "--bell", "psi-plus")
+        witness = parse_table(out)[1][:, 2]
+        np.testing.assert_allclose(witness, 0.5 * (cross - np.abs(phi) ** 2), rtol=0, atol=1e-12)
+
+    def test_unknown_yaml_label_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG + "bell: sigma-plus\n")
+        for command in ("concurrence", "channel"):
+            code, out, err = run_cli("--config", str(path), command, "--b-mt", "20")
+            assert code == 2
+            assert out == ""
+            assert "Bell label" in err
+
     def test_high_field_flag(self, small_config_file):
         code, out, _ = run_cli(
             "--config", small_config_file, "concurrence", "--high-field"
@@ -178,6 +208,33 @@ class TestSweepCommand:
         monkeypatch.setenv("DOTESD_WORKERS", "2")
         _, parallel, _ = run_cli(*args)
         assert serial == parallel
+
+    def test_bad_worker_env_and_step_count_are_config_errors(self, small_config_file, monkeypatch):
+        args = ("--config", small_config_file, "sweep", "--b-min-mt", "8", "--b-max-mt", "12")
+        for steps in ("0", "-3"):
+            code, out, err = run_cli(*args, "--b-steps", steps)
+            assert code == 2
+            assert out == ""
+            assert "--b-steps" in err
+        monkeypatch.setenv("DOTESD_WORKERS", "two")
+        code, out, err = run_cli(*args, "--b-steps", "2")
+        assert code == 2
+        assert out == ""
+        assert "DOTESD_WORKERS" in err
+
+    def test_output_independent_of_blas_threads(self, small_config_file):
+        argv = [
+            sys.executable, "-m", "dotesd.cli", "--config", small_config_file, "sweep",
+            "--b-min-mt", "8", "--b-max-mt", "16", "--b-steps", "3",
+        ]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
+            env.pop("DOTESD_WORKERS", None)
+            result = subprocess.run(argv, capture_output=True, env=env, timeout=600)
+            assert result.returncode == 0
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_absent_death_serialized_as_nan(self, tmp_path):
         # a short horizon leaves entanglement alive at every field
@@ -236,6 +293,18 @@ class TestRoundTrip:
         for i, ln in enumerate(lines):
             for j, tok in enumerate(ln.split(",")):
                 assert float(tok) == rows[i, j]
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, dotesd.cli; print('scipy.fft' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=600,
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"
 
 
 def test_console_entry_point():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dotesd.experiments import (
     concurrence_trace,
     find_sudden_death,
     oscillation_metrics,
+    pool_size,
     sweep_b,
     tsd_estimate_high_field,
 )
@@ -175,6 +177,15 @@ class TestSweep:
             assert a.death.t_sd == b.death.t_sd
             assert a.death.witness_zero == b.death.witness_zero
             assert a.max_occupation_leak == b.max_occupation_leak
+
+    def test_pool_size_clamped_to_fields_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert pool_size(None, 100) == 1
+        assert pool_size(0, 100) == 1
+        assert pool_size(-5, 100) == 1
+        assert pool_size(2, 1) == 1
+        assert pool_size(10**9, 3) == min(3, cpus)
+        assert pool_size(10**9, 10**9) == cpus
 
 
 class TestTsdEstimate:
