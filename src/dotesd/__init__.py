@@ -1,60 +1,4 @@
 """Hyperfine-induced decoherence and entanglement sudden death of
 quantum-dot electron-spin qubits in unpolarized nuclear baths."""
 
-from .boxmodel import (
-    BlockParams,
-    BoxChannel,
-    ChannelSnapshot,
-    ChannelTrace,
-    SectorTable,
-    apply_snapshot,
-    block_amplitudes,
-    block_params,
-    compute_channel,
-    sector_weights,
-)
-from .config import ConfigError, DotConfig, GridConfig, RunConfig, default_config, load_config
-from .dephasing import (
-    DephasingTrace,
-    T2Fit,
-    dephasing_factor,
-    fit_t2star,
-    sigma_from,
-    t2star_uniform,
-)
-from .entanglement import (
-    BellLabel,
-    apply_product_channel,
-    bell_state,
-    concurrence_closed_form,
-    concurrence_wootters,
-    concurrence_x,
-    witness_w,
-)
-from .experiments import (
-    BFieldRecord,
-    EntanglementTrace,
-    OscillationMetrics,
-    SuddenDeathResult,
-    SweepResult,
-    box_equivalent_coupling,
-    concurrence_trace,
-    find_sudden_death,
-    oscillation_metrics,
-    sweep_b,
-    tsd_estimate_high_field,
-)
-from .material import (
-    CONSTANTS,
-    GAAS,
-    CouplingSet,
-    DotGeometry,
-    IsotopeSpec,
-    MaterialSpec,
-    PhysicalConstants,
-    generate_couplings,
-    uniform_couplings,
-    zeeman_splitting,
-)
-
 __version__ = "0.1.0"

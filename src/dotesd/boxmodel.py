@@ -29,9 +29,9 @@ import numpy as np
 
 from .material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, electron_larmor_uev
 
-# Above this bath size the J-recursion for multiplicities is replaced by the
-# equivalent characteristic-function route (see _weights_fft).
-_RECURSION_LIMIT = 4096
+# Largest box bath. The channel has O(N^2) lines; a 2,000-time evaluation
+# already takes about 2 s at N = 200 on two cores.
+MAX_SPINS = 4096
 
 # (x rows + y rows) x lines per contraction step of _trig_sums; keeps its
 # temporaries to tens of MB for any bath size and any number of times.
@@ -78,137 +78,14 @@ def _weights_recursion(n_spins: int) -> np.ndarray:
     return w
 
 
-def _weights_fft(n_spins: int) -> np.ndarray:
-    """Same w(J), via the distribution of the total z projection.
-
-    n(N, J)/4^N = P(M = J) - P(M = J + 1) where M is the sum of N iid
-    projections uniform on {-3/2,...,3/2}. P is computed as the N-th
-    convolution power of the flat 4-point kernel through its characteristic
-    function, in extended precision so the differences stay accurate.
-    """
-    import scipy.fft  # deferred: about 0.4 s of import time, needed only here
-
-    size = 3 * n_spins + 1
-    nfft = scipy.fft.next_fast_len(size, real=True)
-    kernel = np.zeros(nfft, dtype=np.longdouble)
-    kernel[:4] = 0.25
-    chf = scipy.fft.rfft(kernel)
-    p = scipy.fft.irfft(chf**n_spins, n=nfft)[:size]
-    two_j = np.arange(3 * n_spins % 2, size, 2)
-    j_hi = (two_j + 3 * n_spins) // 2
-    diff = p[j_hi] - np.concatenate((p[j_hi[:-1] + 1], [0.0]))
-    # The transform carries a flat noise floor that would swamp the tails,
-    # where true weights are double-exponentially small but the (2J+1) factor
-    # is huge. Calibrate the floor on the far tail (beyond 12 standard
-    # deviations of the projection distribution nothing physical survives)
-    # and zero everything within a safe multiple of it.
-    sigma_two_j = math.sqrt(5.0 * n_spins)
-    pure_noise = two_j > 12.0 * sigma_two_j
-    if pure_noise.any():
-        floor = 8.0 * np.abs(diff[pure_noise]).max()
-        diff[np.abs(diff) < floor] = 0.0
-    w = np.zeros(size, dtype=np.longdouble)
-    w[two_j] = np.maximum(diff, 0.0)
-    return w.astype(np.float64)
-
-
 def sector_weights(n_spins: int) -> SectorTable:
     """Sector decomposition of N spin-3/2 nuclei, zero-weight sectors dropped."""
-    if not 1 <= n_spins <= 10**7:
-        raise ValueError("n_spins must be in [1, 1e7]")
-    if n_spins <= _RECURSION_LIMIT:
-        w = _weights_recursion(n_spins)
-    else:
-        w = _weights_fft(n_spins)
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in [1, {MAX_SPINS}]")
+    w = _weights_recursion(n_spins)
     two_j = np.arange(3 * n_spins % 2, 3 * n_spins + 1, 2)
     keep = w[two_j] > 0.0
     return SectorTable(n_spins=n_spins, two_j=two_j[keep], weights=w[two_j][keep])
-
-
-@dataclass(frozen=True)
-class BlockParams:
-    """One conserved block of the box Hamiltonian.
-
-    Basis {|up, J, m>, |down, J, m+1>}; e_down and v are None for the
-    one-dimensional block at m = J.
-    """
-
-    e_up: float
-    e_down: float | None = None
-    v: float | None = None
-
-    @property
-    def is_one_dimensional(self) -> bool:
-        return self.e_down is None
-
-
-def block_params(
-    two_j: int,
-    two_m: int,
-    b_field_t: float,
-    alpha_uev: float,
-    material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
-) -> BlockParams:
-    """Block energies and flip-flop element for sector (J, m)."""
-    if abs(two_m) > two_j:
-        raise ValueError(f"twoM={two_m} outside [-{two_j}, {two_j}]")
-    if (two_j - two_m) % 2 != 0:
-        raise ValueError("twoM must have the parity of twoJ")
-    omega_e = electron_larmor_uev(b_field_t, material, constants)
-    j = two_j / 2.0
-    m = two_m / 2.0
-    e_up = omega_e / 2.0 + alpha_uev * m / 2.0
-    if two_m == two_j:
-        return BlockParams(e_up=e_up)
-    e_down = -omega_e / 2.0 - alpha_uev * (m + 1.0) / 2.0
-    v = (alpha_uev / 2.0) * math.sqrt(j * (j + 1.0) - m * (m + 1.0))
-    return BlockParams(e_up=e_up, e_down=e_down, v=v)
-
-
-def block_amplitudes(
-    params: BlockParams, t_ns: float, constants: PhysicalConstants = CONSTANTS
-) -> tuple[complex, complex]:
-    """Stay-up and transfer amplitudes (a, b) of a block at time t.
-
-    Closed Rabi form: with Ebar = (E_up + E_down)/2, Delta = (E_up - E_down)/2
-    and Omega = sqrt(Delta^2 + V^2)/hbar,
-
-        a = exp(-i Ebar t/hbar) (cos Omega t - i Delta/sqrt(...) sin Omega t)
-        b = -i V/sqrt(...) exp(-i Ebar t/hbar) sin Omega t
-    """
-    hbar = constants.hbar_uev_ns
-    if params.is_one_dimensional:
-        return complex(np.exp(-1j * params.e_up * t_ns / hbar)), 0.0 + 0.0j
-    ebar = 0.5 * (params.e_up + params.e_down)
-    delta = 0.5 * (params.e_up - params.e_down)
-    s = math.hypot(delta, params.v)
-    phase = np.exp(-1j * ebar * t_ns / hbar)
-    if s == 0.0:
-        return complex(phase), 0.0 + 0.0j
-    omega_t = s * t_ns / hbar
-    a = phase * (math.cos(omega_t) - 1j * (delta / s) * math.sin(omega_t))
-    b = -1j * (params.v / s) * phase * math.sin(omega_t)
-    return complex(a), complex(b)
-
-
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """Channel parameters at one time: flip probability and coherence factor."""
-
-    q: float
-    phi: complex
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"flip probability {self.q} outside [0, 1]")
-        if abs(self.phi) > 1.0 - self.q + tol:
-            raise ValueError(
-                f"complete positivity violated: |phi|={abs(self.phi)} > 1-q={1 - self.q}"
-            )
-
-
-IDENTITY_SNAPSHOT = ChannelSnapshot(q=0.0, phi=1.0 + 0.0j)
 
 
 @dataclass
@@ -220,9 +97,6 @@ class ChannelTrace:
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing from t=0")
-
-    def snapshot(self, i: int) -> ChannelSnapshot:
-        return ChannelSnapshot(q=float(self.q[i]), phi=complex(self.phi[i]))
 
 
 def _expm1i(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,23 +290,3 @@ def compute_channel(
     q, phi = channel.evaluate(times)
     return ChannelTrace(times=times, q=q, phi=phi)
 
-
-def apply_snapshot(snapshot: ChannelSnapshot, rho: np.ndarray) -> np.ndarray:
-    """Apply the phase-covariant unital channel to a single-qubit state.
-
-    Populations mix with weight q, coherences pick up phi. Written in the
-    difference form rho00 + q (rho11 - rho00) so the maximally mixed state is
-    a fixed point exactly, not just to rounding.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 density matrix")
-    if abs(rho[0, 1] - np.conj(rho[1, 0])) > 1e-10 or abs(rho.trace() - 1.0) > 1e-10:
-        raise ValueError("input is not a unit-trace Hermitian matrix")
-    q, phi = snapshot.q, snapshot.phi
-    out = np.empty((2, 2), dtype=np.complex128)
-    out[0, 0] = rho[0, 0] + q * (rho[1, 1] - rho[0, 0])
-    out[1, 1] = rho[1, 1] + q * (rho[0, 0] - rho[1, 1])
-    out[0, 1] = phi * rho[0, 1]
-    out[1, 0] = np.conj(phi) * rho[1, 0]
-    return out

@@ -3,7 +3,8 @@
 Tables are comma-separated with a single header row and all floats printed
 with 17 significant digits, so re-parsing loses no precision. Summary
 statistics go to stderr to keep stdout machine-consumable. Exit codes:
-0 success, 1 numeric failure, 2 usage or config error.
+0 success, also when the reader closes stdout early (``| head``), 1 numeric
+failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -225,6 +226,13 @@ def main(argv=None, out=None, err=None) -> int:
     except (ValueError, FloatingPointError) as exc:
         print(f"dotesd: {exc}", file=err)
         return 1
+    except BrokenPipeError:
+        # Send the rest to devnull, so the final flush at exit stays silent.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Run configuration: material, two dot blocks, time grid, and mode flags.
 
 Config files are flat YAML; every physical quantity carries a unit-suffixed
-key (a_total_uev, t_max_ns, ...) to keep units explicit. The built-in
+key (a_total_uev, t_max_ns, ...) to keep units explicit. An unknown key or
+a block that is not a mapping is an error at every level. The built-in
 defaults encode the identical-dot GaAs setup.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
+from .boxmodel import MAX_SPINS
 from .entanglement import BellLabel
 from .material import GAAS, DotGeometry, IsotopeSpec, MaterialSpec
 
@@ -73,8 +75,8 @@ class RunConfig:
         if self.bell not in {label.value for label in BellLabel}:
             raise ConfigError(f"unknown Bell label {self.bell!r}")
         for i, dot in enumerate(self.dots):
-            if dot.n_spins < 1 or dot.n_cells < 1:
-                raise ConfigError(f"dot {i + 1}: n_spins and n_cells must be >= 1")
+            if not 1 <= dot.n_spins <= MAX_SPINS or dot.n_cells < 1:
+                raise ConfigError(f"dot {i + 1}: need 1 <= n_spins <= {MAX_SPINS}, n_cells >= 1")
             if dot.a_total_uev <= 0:
                 raise ConfigError(f"dot {i + 1}: a_total_uev must be positive")
             if abs(self.material.mean_a0_per_cell() - dot.a_total_uev) > 0.1:
@@ -88,19 +90,31 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _build_material(node: dict) -> MaterialSpec:
-    isotopes = tuple(
-        IsotopeSpec(
-            name=str(iso["name"]),
-            a0_uev=float(iso["a0_uev"]),
-            abundance=float(iso["abundance"]),
-            sublattice=str(iso["sublattice"]),
-            spin=float(iso.get("spin", 1.5)),
-        )
-        for iso in node["isotopes"]
+def _mapping(node, where: str, known: set[str]) -> dict:
+    """node itself, after checking that it is a mapping with only known keys."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(node) - known
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return node
+
+
+def _build_isotope(node) -> IsotopeSpec:
+    node = _mapping(node, "isotope", {"name", "a0_uev", "abundance", "sublattice", "spin"})
+    return IsotopeSpec(
+        name=str(node["name"]),
+        a0_uev=float(node["a0_uev"]),
+        abundance=float(node["abundance"]),
+        sublattice=str(node["sublattice"]),
+        spin=float(node.get("spin", 1.5)),
     )
+
+
+def _build_material(node) -> MaterialSpec:
+    node = _mapping(node, "material", {"isotopes", "cell_volume_nm3", "g_factor"})
     return MaterialSpec(
-        isotopes=isotopes,
+        isotopes=tuple(_build_isotope(iso) for iso in node["isotopes"]),
         cell_volume_nm3=float(node.get("cell_volume_nm3", GAAS.cell_volume_nm3)),
         g_factor=float(node.get("g_factor", GAAS.g_factor)),
     )
@@ -109,14 +123,21 @@ def _build_material(node: dict) -> MaterialSpec:
 _DOT_KEYS = {"n_spins", "n_cells", "a_total_uev", "l_perp_nm", "l_z_nm", "seed"}
 
 
-def _build_dot(node: dict, index: int) -> DotConfig:
-    unknown = set(node) - _DOT_KEYS
-    if unknown:
-        raise ConfigError(f"dot {index + 1}: unknown keys {sorted(unknown)}")
+def _build_dot(node, index: int) -> DotConfig:
+    node = _mapping(node, f"dot {index + 1}", _DOT_KEYS)
     base = DotConfig(seed=index + 1)
     ints = {k: int(node[k]) for k in ("n_spins", "n_cells", "seed") if k in node}
     floats = {k: float(node[k]) for k in ("a_total_uev", "l_perp_nm", "l_z_nm") if k in node}
     return replace(base, **ints, **floats)
+
+
+def _build_grid(node) -> GridConfig:
+    node = _mapping(node, "grid", {"t_max_ns", "t_steps", "horizon_ns"})
+    return GridConfig(
+        t_max_ns=float(node.get("t_max_ns", 100.0)),
+        t_steps=int(node.get("t_steps", 2000)),
+        horizon_ns=float(node.get("horizon_ns", node.get("t_max_ns", 100.0))),
+    )
 
 
 def load_config(path: str) -> RunConfig:
@@ -130,13 +151,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if raw is None:
         return default_config()
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be a mapping")
-
-    known = {"material", "dots", "grid", "bell", "zero_tol"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
+    _mapping(raw, "top-level config", {"material", "dots", "grid", "bell", "zero_tol"})
     try:
         material = _build_material(raw["material"]) if "material" in raw else GAAS
         if "dots" in raw:
@@ -146,16 +161,10 @@ def load_config(path: str) -> RunConfig:
             dots = (_build_dot(nodes[0], 0), _build_dot(nodes[1], 1))
         else:
             dots = (DotConfig(seed=1), DotConfig(seed=2))
-        grid_node = raw.get("grid", {})
-        grid = GridConfig(
-            t_max_ns=float(grid_node.get("t_max_ns", 100.0)),
-            t_steps=int(grid_node.get("t_steps", 2000)),
-            horizon_ns=float(grid_node.get("horizon_ns", grid_node.get("t_max_ns", 100.0))),
-        )
         config = RunConfig(
             material=material,
             dots=dots,
-            grid=grid,
+            grid=_build_grid(raw.get("grid", {})),
             bell=str(raw.get("bell", "psi-plus")),
             zero_tol=float(raw.get("zero_tol", 1e-9)),
         )

@@ -40,11 +40,8 @@ def dephasing_factor(
     if np.any(a_k <= 0):
         raise ValueError("all couplings must be positive")
     times = np.asarray(times, dtype=np.float64)
-    # Identical couplings share one factor; realistic sets fall back to the
-    # full per-nucleus product.
+    # Identical couplings share one factor, raised to their multiplicity.
     values, counts = np.unique(a_k, return_counts=True)
-    if len(values) > len(a_k) // 4:
-        values, counts = a_k, np.ones(len(a_k))
 
     phi = np.empty(len(times), dtype=np.complex128)
     hbar = constants.hbar_uev_ns

@@ -1,17 +1,14 @@
-"""Two-qubit Bell-state evolution under local channels and entanglement measures.
+"""Bell labels and the entanglement of evolved Bell states.
 
-Basis ordering |0> = up,up; |1> = up,down; |2> = down,up; |3> = down,down.
-Evolved Bell states keep a single nonzero coherence pair, so besides the
-general Wootters concurrence there is an X-state shortcut
-
-    C = 2 max{0, |rho_ij| - sqrt(rho_kk rho_ll)}
-
-with (i, j) = (1, 2) for Psi states and (0, 3) for Phi states, and a closed
-form directly in the channel parameters,
+Each qubit of a Bell pair evolves under its own phase-covariant unital
+channel (q, phi). The evolved state keeps a single nonzero coherence pair,
+so its Wootters concurrence (PRL 80, 2245 (1998)) has a closed form
+directly in the channel parameters,
 
     C = max{0, |phi1||phi2| - [q1 (1 - q2) + q2 (1 - q1)]},
 
-which is the same for all four Bell labels.
+which is the same for all four Bell labels. The witness W = 1/2 - Bell
+fidelity, whose zero marks the sudden death, has one too.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-
-from .boxmodel import ChannelSnapshot
 
 
 class BellLabel(Enum):
@@ -34,98 +29,6 @@ class BellLabel(Enum):
         return self in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
 
 
-_BELL_VECTORS = {
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0]) / np.sqrt(2),
-    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0]) / np.sqrt(2),
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1]) / np.sqrt(2),
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1]) / np.sqrt(2),
-}
-
-_SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].copy()  # sigma_y (x) sigma_y
-
-
-def validate_state(rho: np.ndarray, tol: float = 1e-12) -> None:
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 density matrix")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian")
-    if abs(rho.trace() - 1.0) > tol:
-        raise ValueError("state does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("state has a negative eigenvalue")
-
-
-def bell_state(label: BellLabel) -> np.ndarray:
-    """Density matrix of the chosen maximally entangled Bell state."""
-    i, j = (1, 2) if label.is_psi else (0, 3)
-    sign = 1.0 if label in (BellLabel.PSI_PLUS, BellLabel.PHI_PLUS) else -1.0
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[i, i] = rho[j, j] = 0.5
-    rho[i, j] = rho[j, i] = sign * 0.5
-    return rho
-
-
-def _apply_factor(rho: np.ndarray, snap: ChannelSnapshot, qubit: int) -> np.ndarray:
-    """Channel action on one tensor factor of a two-qubit state.
-
-    Population mixing is written in difference form so equal populations are
-    fixed exactly; coherence blocks are scaled by phi / conj(phi).
-    """
-    r = rho.reshape(2, 2, 2, 2)  # indices (i1, i2, j1, j2)
-    # bring the acting qubit's bra/ket indices to the front
-    r = r.transpose(0, 2, 1, 3) if qubit == 0 else r.transpose(1, 3, 0, 2)
-    q, phi = snap.q, snap.phi
-    out = np.empty_like(r)
-    out[0, 0] = r[0, 0] + q * (r[1, 1] - r[0, 0])
-    out[1, 1] = r[1, 1] + q * (r[0, 0] - r[1, 1])
-    out[0, 1] = phi * r[0, 1]
-    out[1, 0] = np.conj(phi) * r[1, 0]
-    out = out.transpose(0, 2, 1, 3) if qubit == 0 else out.transpose(2, 0, 3, 1)
-    return out.reshape(4, 4)
-
-
-def apply_product_channel(
-    rho: np.ndarray, snap1: ChannelSnapshot, snap2: ChannelSnapshot
-) -> np.ndarray:
-    """Evolve a two-qubit state under the tensor product of local channels."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    validate_state(rho)
-    snap1.validate()
-    snap2.validate()
-    return _apply_factor(_apply_factor(rho, snap1, 0), snap2, 1)
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """Wootters concurrence max{0, l1 - l2 - l3 - l4} for any two-qubit state.
-
-    The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    spun = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    eigs = np.linalg.eigvals(rho @ spun).real
-    lam = np.sqrt(np.maximum(eigs, 0.0))
-    lam[::-1].sort()
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-
-
-def concurrence_x(rho: np.ndarray, label: BellLabel, tol: float = 1e-10) -> float:
-    """X-state shortcut for evolved Bell states.
-
-    Refuses states whose off-diagonal support extends beyond the single
-    coherence pair of the given label.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    i, j = (1, 2) if label.is_psi else (0, 3)
-    k, l = (0, 3) if label.is_psi else (1, 2)
-    off = rho - np.diag(np.diag(rho))
-    off[i, j] = off[j, i] = 0.0
-    if np.abs(off).max() > tol:
-        raise ValueError("state does not have the evolved-Bell sparsity pattern")
-    return 2.0 * max(0.0, abs(rho[i, j]) - np.sqrt(abs(rho[k, k] * rho[l, l])))
-
-
 def concurrence_closed_form(q1, phi1, q2, phi2):
     """Concurrence of any evolved Bell state directly from channel parameters.
 
@@ -136,12 +39,17 @@ def concurrence_closed_form(q1, phi1, q2, phi2):
     return np.maximum(0.0, signed)
 
 
-def witness_w(rho: np.ndarray, label: BellLabel) -> float:
-    """Entanglement witness W = 1/2 - <Bell|rho|Bell>.
+def witness_closed_form(bell: BellLabel, q1, phi1, q2, phi2):
+    """W(t) = 1/2 - Bell fidelity of the evolved state, from channel params.
 
-    Nonnegative W certifies separability for Bell-diagonal states, so its
-    zero crossing marks the sudden death of entanglement.
+    For Psi labels the coherence enters as Re(phi1 conj(phi2)); for Phi labels
+    as Re(phi1 phi2), which keeps rotating at the total Zeeman frequency.
     """
-    vec = _BELL_VECTORS[label]
-    fidelity = np.real(vec.conj() @ np.asarray(rho) @ vec)
-    return 0.5 - float(fidelity)
+    cross = q1 * (1.0 - q2) + q2 * (1.0 - q1)
+    if bell.is_psi:
+        coh = np.real(phi1 * np.conj(phi2))
+    else:
+        coh = np.real(phi1 * phi2)
+    # fidelity = (1 - cross)/2 + coh/2; the label sign cancels against the
+    # sign of the evolved coherence, so plus and minus labels agree.
+    return 0.5 * (cross - coh)

@@ -22,9 +22,16 @@ import numpy as np
 
 from .boxmodel import BoxChannel
 from .config import RunConfig
-from .dephasing import dephasing_factor, sigma_from
-from .entanglement import BellLabel, concurrence_closed_form
-from .material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, uniform_couplings
+from .dephasing import dephasing_factor
+from .entanglement import BellLabel, concurrence_closed_form, witness_closed_form
+from .material import (
+    CONSTANTS,
+    GAAS,
+    MaterialSpec,
+    PhysicalConstants,
+    electron_larmor_uev,
+    uniform_couplings,
+)
 
 
 def box_equivalent_coupling(a_total_uev: float, n_spins: int, n_cells: int) -> float:
@@ -94,7 +101,7 @@ class _TracePair:
         else:
             q2, phi2 = self.channels[1].evaluate(times)
         conc = concurrence_closed_form(q1, phi1, q2, phi2)
-        witness = _witness_closed_form(self.bell, q1, phi1, q2, phi2)
+        witness = witness_closed_form(self.bell, q1, phi1, q2, phi2)
         return conc, witness, max(q1.max(), q2.max())
 
     def concurrence_at(self, t: float) -> float:
@@ -102,22 +109,6 @@ class _TracePair:
 
     def witness_at(self, t: float) -> float:
         return float(self.evaluate([t])[1][0])
-
-
-def _witness_closed_form(bell: BellLabel, q1, phi1, q2, phi2):
-    """W(t) = 1/2 - Bell fidelity of the evolved state, from channel params.
-
-    For Psi labels the coherence enters as Re(phi1 conj(phi2)); for Phi labels
-    as Re(phi1 phi2), which keeps rotating at the total Zeeman frequency.
-    """
-    cross = q1 * (1.0 - q2) + q2 * (1.0 - q1)
-    if bell.is_psi:
-        coh = np.real(phi1 * np.conj(phi2))
-    else:
-        coh = np.real(phi1 * phi2)
-    # fidelity = (1 - cross)/2 + coh/2; the label sign cancels against the
-    # sign of the evolved coherence, so plus and minus labels agree.
-    return 0.5 * (cross - coh)
 
 
 def concurrence_trace(
@@ -143,18 +134,31 @@ def concurrence_trace(
             for dot in config.dots
         ]
         conc = concurrence_closed_form(0.0, phis[0], 0.0, phis[1])
-        witness = _witness_closed_form(bell, np.zeros_like(times), phis[0], np.zeros_like(times), phis[1])
+        witness = witness_closed_form(bell, np.zeros_like(times), phis[0], np.zeros_like(times), phis[1])
         return EntanglementTrace(times, conc, witness, 0.0)
     pair = _TracePair(config, b_field_t, bell)
     conc, witness, leak = pair.evaluate(times)
     return EntanglementTrace(times, conc, witness, leak)
 
 
-def _refine_crossing(predicate, lo: float, hi: float, tol: float = 1e-3) -> float:
-    """Bisect [lo, hi] for the boundary where predicate flips True -> False."""
-    while hi - lo > tol:
+def _terminal_crossing(t, f, threshold: float, refine=None) -> float | None:
+    """Start of the last run of f <= threshold, when that run reaches the end.
+
+    None when f ends above the threshold or never rises above it. The
+    crossing is bracketed on the grid, then bisected to 1e-3 ns on refine(t)
+    when given, else linearly interpolated between the bracketing samples.
+    """
+    above = f > threshold
+    if above[-1] or not above.any():
+        return None
+    last = int(np.max(np.nonzero(above)))
+    lo, hi = float(t[last]), float(t[last + 1])
+    if refine is None:
+        f_lo, f_hi = f[last], f[last + 1]
+        return lo + (f_lo - threshold) / max(f_lo - f_hi, 1e-300) * (hi - lo)
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
+        if refine(mid) > threshold:
             lo = mid
         else:
             hi = mid
@@ -174,9 +178,9 @@ def find_sudden_death(
 
     The death time is grid-bracketed and then refined to 1e-3 ns by bisection
     on c_refine when provided (linear interpolation otherwise). Revivals are
-    counted from the sign structure of C - zero_tol. The witness zero uses the
-    matching threshold -zero_tol/2, the exact image of the concurrence
-    threshold for evolved Bell states.
+    counted from the sign structure of C - zero_tol. The witness zero is the
+    same search on -W with the threshold zero_tol/2, the exact image of the
+    concurrence threshold for evolved Bell states.
     """
     times = np.asarray(times, dtype=np.float64)
     concurrence = np.asarray(concurrence, dtype=np.float64)
@@ -188,30 +192,12 @@ def find_sudden_death(
 
     alive = c > zero_tol
     revivals = int(np.count_nonzero(np.diff(alive.astype(np.int8)) == 1))
-    t_sd = None
-    if not alive[-1] and alive.any():
-        last = int(np.max(np.nonzero(alive)))
-        lo, hi = float(t[last]), float(t[last + 1])
-        if c_refine is not None:
-            t_sd = _refine_crossing(lambda x: c_refine(x) > zero_tol, lo, hi)
-        else:
-            c_lo, c_hi = c[last], c[last + 1]
-            t_sd = lo + (c_lo - zero_tol) / max(c_lo - c_hi, 1e-300) * (hi - lo)
-
+    t_sd = _terminal_crossing(t, c, zero_tol, c_refine)
     witness_zero = None
     if witness is not None:
         w = np.asarray(witness, dtype=np.float64)[in_horizon]
-        neg = w < -0.5 * zero_tol
-        if not neg[-1] and neg.any():
-            last = int(np.max(np.nonzero(neg)))
-            lo, hi = float(t[last]), float(t[last + 1])
-            if w_refine is not None:
-                witness_zero = _refine_crossing(
-                    lambda x: w_refine(x) < -0.5 * zero_tol, lo, hi
-                )
-            else:
-                w_lo, w_hi = w[last], w[last + 1]
-                witness_zero = lo + (w_lo + 0.5 * zero_tol) / min(w_lo - w_hi, -1e-300) * (hi - lo)
+        neg_refine = None if w_refine is None else (lambda x: -w_refine(x))
+        witness_zero = _terminal_crossing(t, -w, 0.5 * zero_tol, neg_refine)
 
     return SuddenDeathResult(
         t_sd=t_sd, witness_zero=witness_zero, horizon=float(horizon), revival_count=revivals
@@ -282,16 +268,10 @@ def tsd_estimate_high_field(
     estimate balances the Gaussian coherence decay against occupation
     oscillations of relative size (sigma/omega)^2.
     """
-    omega = abs(material.g_factor) * constants.bohr_magneton_uev_per_t * b_field_t / constants.hbar_uev_ns
+    omega = abs(electron_larmor_uev(b_field_t, material, constants)) / constants.hbar_uev_ns
     if omega <= sigma_per_ns:
         raise ValueError("estimate undefined: Zeeman frequency must exceed sigma")
     return math.sqrt(2.0 * math.log(omega / sigma_per_ns)) / sigma_per_ns
-
-
-def default_sigma(config: RunConfig) -> float:
-    """Overhauser spread of dot 1 in the given configuration (1/ns)."""
-    dot = config.dots[0]
-    return sigma_from(dot.n_cells, dot.a_total_uev)
 
 
 @dataclass(frozen=True)

@@ -107,15 +107,6 @@ class CouplingSet:
     a_total: float
 
 
-def zeeman_splitting(
-    b_field_t: float,
-    material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Electron Zeeman splitting |g| mu_B B in ueV."""
-    return abs(material.g_factor) * constants.bohr_magneton_uev_per_t * b_field_t
-
-
 def electron_larmor_uev(
     b_field_t: float,
     material: MaterialSpec = GAAS,

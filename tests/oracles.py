@@ -1,0 +1,231 @@
+"""Second implementations that only tests use, as oracles for dotesd.
+
+The density-matrix pipeline (Bell states, the product channel on a 4x4
+state, the Wootters concurrence of PRL 80, 2245 (1998), the X-state shortcut
+and the Bell-fidelity witness), the scalar per-block path of the box
+Hamiltonian, and single-qubit channel snapshots. Two-qubit basis ordering:
+|0> = up,up; |1> = up,down; |2> = down,up; |3> = down,down.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from dotesd.entanglement import BellLabel
+from dotesd.material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, electron_larmor_uev
+
+
+@dataclass(frozen=True)
+class ChannelSnapshot:
+    """Channel parameters at one time: flip probability and coherence factor."""
+
+    q: float
+    phi: complex
+
+    def validate(self, tol: float = 1e-10) -> None:
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"flip probability {self.q} outside [0, 1]")
+        if abs(self.phi) > 1.0 - self.q + tol:
+            raise ValueError(
+                f"complete positivity violated: |phi|={abs(self.phi)} > 1-q={1 - self.q}"
+            )
+
+
+def snapshot(trace, i: int) -> ChannelSnapshot:
+    """Snapshot of a ChannelTrace at time index i."""
+    return ChannelSnapshot(q=float(trace.q[i]), phi=complex(trace.phi[i]))
+
+
+def apply_snapshot(snapshot: ChannelSnapshot, rho: np.ndarray) -> np.ndarray:
+    """Apply the phase-covariant unital channel to a single-qubit state.
+
+    Populations mix with weight q, coherences pick up phi. Written in the
+    difference form rho00 + q (rho11 - rho00) so the maximally mixed state is
+    a fixed point exactly, not just to rounding.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (2, 2):
+        raise ValueError("expected a 2x2 density matrix")
+    if abs(rho[0, 1] - np.conj(rho[1, 0])) > 1e-10 or abs(rho.trace() - 1.0) > 1e-10:
+        raise ValueError("input is not a unit-trace Hermitian matrix")
+    q, phi = snapshot.q, snapshot.phi
+    out = np.empty((2, 2), dtype=np.complex128)
+    out[0, 0] = rho[0, 0] + q * (rho[1, 1] - rho[0, 0])
+    out[1, 1] = rho[1, 1] + q * (rho[0, 0] - rho[1, 1])
+    out[0, 1] = phi * rho[0, 1]
+    out[1, 0] = np.conj(phi) * rho[1, 0]
+    return out
+
+
+_BELL_VECTORS = {
+    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0]) / np.sqrt(2),
+    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0]) / np.sqrt(2),
+    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1]) / np.sqrt(2),
+    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1]) / np.sqrt(2),
+}
+
+_SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].copy()  # sigma_y (x) sigma_y
+
+
+def validate_state(rho: np.ndarray, tol: float = 1e-12) -> None:
+    rho = np.asarray(rho)
+    if rho.shape != (4, 4):
+        raise ValueError("expected a 4x4 density matrix")
+    if np.abs(rho - rho.conj().T).max() > tol:
+        raise ValueError("state is not Hermitian")
+    if abs(rho.trace() - 1.0) > tol:
+        raise ValueError("state does not have unit trace")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError("state has a negative eigenvalue")
+
+
+def bell_state(label: BellLabel) -> np.ndarray:
+    """Density matrix of the chosen maximally entangled Bell state."""
+    i, j = (1, 2) if label.is_psi else (0, 3)
+    sign = 1.0 if label in (BellLabel.PSI_PLUS, BellLabel.PHI_PLUS) else -1.0
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    rho[i, i] = rho[j, j] = 0.5
+    rho[i, j] = rho[j, i] = sign * 0.5
+    return rho
+
+
+def _apply_factor(rho: np.ndarray, snap: ChannelSnapshot, qubit: int) -> np.ndarray:
+    """Channel action on one tensor factor of a two-qubit state.
+
+    Population mixing is written in difference form so equal populations are
+    fixed exactly; coherence blocks are scaled by phi / conj(phi).
+    """
+    r = rho.reshape(2, 2, 2, 2)  # indices (i1, i2, j1, j2)
+    # bring the acting qubit's bra/ket indices to the front
+    r = r.transpose(0, 2, 1, 3) if qubit == 0 else r.transpose(1, 3, 0, 2)
+    q, phi = snap.q, snap.phi
+    out = np.empty_like(r)
+    out[0, 0] = r[0, 0] + q * (r[1, 1] - r[0, 0])
+    out[1, 1] = r[1, 1] + q * (r[0, 0] - r[1, 1])
+    out[0, 1] = phi * r[0, 1]
+    out[1, 0] = np.conj(phi) * r[1, 0]
+    out = out.transpose(0, 2, 1, 3) if qubit == 0 else out.transpose(2, 0, 3, 1)
+    return out.reshape(4, 4)
+
+
+def apply_product_channel(
+    rho: np.ndarray, snap1: ChannelSnapshot, snap2: ChannelSnapshot
+) -> np.ndarray:
+    """Evolve a two-qubit state under the tensor product of local channels."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    validate_state(rho)
+    snap1.validate()
+    snap2.validate()
+    return _apply_factor(_apply_factor(rho, snap1, 0), snap2, 1)
+
+
+def concurrence_wootters(rho: np.ndarray) -> float:
+    """Wootters concurrence max{0, l1 - l2 - l3 - l4} for any two-qubit state.
+
+    The l_i are the decreasing square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy).
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    spun = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
+    eigs = np.linalg.eigvals(rho @ spun).real
+    lam = np.sqrt(np.maximum(eigs, 0.0))
+    lam[::-1].sort()
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def concurrence_x(rho: np.ndarray, label: BellLabel, tol: float = 1e-10) -> float:
+    """X-state shortcut C = 2 max{0, |rho_ij| - sqrt(rho_kk rho_ll)} for evolved
+    Bell states, with (i, j) = (1, 2) for Psi labels and (0, 3) for Phi labels.
+
+    Refuses states whose off-diagonal support extends beyond the single
+    coherence pair of the given label.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    i, j = (1, 2) if label.is_psi else (0, 3)
+    k, l = (0, 3) if label.is_psi else (1, 2)
+    off = rho - np.diag(np.diag(rho))
+    off[i, j] = off[j, i] = 0.0
+    if np.abs(off).max() > tol:
+        raise ValueError("state does not have the evolved-Bell sparsity pattern")
+    return 2.0 * max(0.0, abs(rho[i, j]) - np.sqrt(abs(rho[k, k] * rho[l, l])))
+
+
+def witness_w(rho: np.ndarray, label: BellLabel) -> float:
+    """Entanglement witness W = 1/2 - <Bell|rho|Bell>.
+
+    Nonnegative W certifies separability for Bell-diagonal states, so its
+    zero crossing marks the sudden death of entanglement.
+    """
+    vec = _BELL_VECTORS[label]
+    fidelity = np.real(vec.conj() @ np.asarray(rho) @ vec)
+    return 0.5 - float(fidelity)
+
+
+@dataclass(frozen=True)
+class BlockParams:
+    """One conserved block of the box Hamiltonian.
+
+    Basis {|up, J, m>, |down, J, m+1>}; e_down and v are None for the
+    one-dimensional block at m = J.
+    """
+
+    e_up: float
+    e_down: float | None = None
+    v: float | None = None
+
+    @property
+    def is_one_dimensional(self) -> bool:
+        return self.e_down is None
+
+
+def block_params(
+    two_j: int,
+    two_m: int,
+    b_field_t: float,
+    alpha_uev: float,
+    material: MaterialSpec = GAAS,
+    constants: PhysicalConstants = CONSTANTS,
+) -> BlockParams:
+    """Block energies and flip-flop element for sector (J, m)."""
+    if abs(two_m) > two_j:
+        raise ValueError(f"twoM={two_m} outside [-{two_j}, {two_j}]")
+    if (two_j - two_m) % 2 != 0:
+        raise ValueError("twoM must have the parity of twoJ")
+    omega_e = electron_larmor_uev(b_field_t, material, constants)
+    j = two_j / 2.0
+    m = two_m / 2.0
+    e_up = omega_e / 2.0 + alpha_uev * m / 2.0
+    if two_m == two_j:
+        return BlockParams(e_up=e_up)
+    e_down = -omega_e / 2.0 - alpha_uev * (m + 1.0) / 2.0
+    v = (alpha_uev / 2.0) * math.sqrt(j * (j + 1.0) - m * (m + 1.0))
+    return BlockParams(e_up=e_up, e_down=e_down, v=v)
+
+
+def block_amplitudes(
+    params: BlockParams, t_ns: float, constants: PhysicalConstants = CONSTANTS
+) -> tuple[complex, complex]:
+    """Stay-up and transfer amplitudes (a, b) of a block at time t.
+
+    Closed Rabi form: with Ebar = (E_up + E_down)/2, Delta = (E_up - E_down)/2
+    and Omega = sqrt(Delta^2 + V^2)/hbar,
+
+        a = exp(-i Ebar t/hbar) (cos Omega t - i Delta/sqrt(...) sin Omega t)
+        b = -i V/sqrt(...) exp(-i Ebar t/hbar) sin Omega t
+    """
+    hbar = constants.hbar_uev_ns
+    if params.is_one_dimensional:
+        return complex(np.exp(-1j * params.e_up * t_ns / hbar)), 0.0 + 0.0j
+    ebar = 0.5 * (params.e_up + params.e_down)
+    delta = 0.5 * (params.e_up - params.e_down)
+    s = math.hypot(delta, params.v)
+    phase = np.exp(-1j * ebar * t_ns / hbar)
+    if s == 0.0:
+        return complex(phase), 0.0 + 0.0j
+    omega_t = s * t_ns / hbar
+    a = phase * (math.cos(omega_t) - 1j * (delta / s) * math.sin(omega_t))
+    b = -1j * (params.v / s) * phase * math.sin(omega_t)
+    return complex(a), complex(b)

@@ -81,6 +81,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "grid: {t_stesp: 50}\n",
+            "material:\n"
+            "  isotopes:\n"
+            "    - {name: Ga69, a0_uev: 36.0, abundance: 0.604, sublattice: Ga}\n"
+            "    - {name: Ga71, a0_uev: 46.0, abundance: 0.396, sublattice: Ga}\n"
+            "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As}\n"
+            "  g_factr: -2.0\n",
+            "material:\n"
+            "  isotopes:\n"
+            "    - {name: Ga69, a0_uev: 36.0, abundance: 0.604, sublattice: Ga}\n"
+            "    - {name: Ga71, a0_uev: 46.0, abundance: 0.396, sublattice: Ga, spn: 2}\n"
+            "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As}\n",
+            "grid: 5\n",
+            "dots:\n  - {n_spins: 4097}\n  - {n_spins: 50}\n",
+        ],
+        ids=["grid-key", "material-key", "isotope-key", "grid-not-mapping", "n-spins-bound"],
+    )
+    def test_rejected_before_computing(self, tmp_path, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a channel for a rejected config")
+
+        monkeypatch.setattr("dotesd.cli.compute_channel", refuse)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        code, out, err = run_cli("--config", str(path), "channel", "--b-t", "0")
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_inconsistent_a_total_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -296,15 +328,22 @@ class TestRoundTrip:
 
 
 def test_import_leaves_scipy_fft_unloaded():
+    # dotesd does not use scipy at all: importing every module loads none of it.
+    code = (
+        "import importlib, pkgutil, sys, dotesd\n"
+        "for mod in pkgutil.iter_modules(dotesd.__path__):\n"
+        "    importlib.import_module('dotesd.' + mod.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, dotesd.cli; print('scipy.fft' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": _SRC},
         timeout=600,
     )
     assert result.returncode == 0
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_entry_point():
@@ -316,3 +355,19 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("t_ns,q,re_phi,im_phi")
+
+
+def test_closed_stdout_ends_quietly():
+    # The 2,000-row table is larger than the pipe buffer, so the writer is
+    # still printing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dotesd.cli", "channel", "--b-mt", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert proc.stdout.readline().startswith(b"t_ns,q,re_phi,im_phi")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=600) == 0
+    assert err == b""

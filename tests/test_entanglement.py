@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from dotesd.boxmodel import ChannelSnapshot
-from dotesd.entanglement import (
-    BellLabel,
+from oracles import (
+    ChannelSnapshot,
     apply_product_channel,
     bell_state,
-    concurrence_closed_form,
     concurrence_wootters,
     concurrence_x,
     witness_w,
 )
+
+from dotesd.entanglement import BellLabel, concurrence_closed_form
 
 ALL_LABELS = list(BellLabel)
 

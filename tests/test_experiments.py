@@ -138,8 +138,9 @@ class TestWitnessDeathEquivalence:
     def test_matrix_witness_vanishes_at_death(self):
         # evolve the Bell state through the full channel pipeline and check
         # W = 1/2 - fidelity at the refined sudden-death time
-        from dotesd.boxmodel import BoxChannel, ChannelSnapshot
-        from dotesd.entanglement import apply_product_channel, bell_state, witness_w
+        from oracles import ChannelSnapshot, apply_product_channel, bell_state, witness_w
+
+        from dotesd.boxmodel import BoxChannel
 
         config = fast_config()
         rec = sweep_b(config, [0.0165]).records[0]

@@ -9,10 +9,15 @@ from dotesd.material import (
     DotGeometry,
     IsotopeSpec,
     MaterialSpec,
+    electron_larmor_uev,
     generate_couplings,
     uniform_couplings,
-    zeeman_splitting,
 )
+
+
+def zeeman_splitting(b_field_t):
+    """Electron Zeeman splitting |g| mu_B B in ueV."""
+    return abs(electron_larmor_uev(b_field_t))
 
 
 class TestZeemanSplitting:
