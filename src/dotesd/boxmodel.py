@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, electron_larmor_uev
+from .material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev
 
 # Largest box bath. The channel has O(N^2) lines; a 2,000-time evaluation
 # already takes about 2 s at N = 200 on two cores.
@@ -188,20 +188,13 @@ class BoxChannel:
     """
 
     def __init__(
-        self,
-        n_spins: int,
-        a_total_uev: float,
-        b_field_t: float,
-        material: MaterialSpec = GAAS,
-        constants: PhysicalConstants = CONSTANTS,
+        self, n_spins: int, a_total_uev: float, b_field_t: float, material: MaterialSpec = GAAS
     ):
         self.n_spins = n_spins
         self.a_total_uev = a_total_uev
         self.b_field_t = b_field_t
-        self.constants = constants
         alpha = a_total_uev / n_spins
-        hbar = constants.hbar_uev_ns
-        omega_e = electron_larmor_uev(b_field_t, material, constants)
+        omega_e = electron_larmor_uev(b_field_t, material)
         table = sector_weights(n_spins)
 
         # Flattened 2-dim blocks, ascending (J, block m = -J .. J-1).
@@ -213,7 +206,7 @@ class BoxChannel:
         delta = omega_e / 2.0 + alpha * (2.0 * mb + 1.0) / 4.0
         v = (alpha / 2.0) * np.sqrt(j * (j + 1.0) - mb * (mb + 1.0))
         s = np.hypot(delta, v)
-        omega = s / hbar
+        omega = s / HBAR_UEV_NS
         d = delta / s
 
         self._q_nu = 2.0 * omega
@@ -228,8 +221,8 @@ class BoxChannel:
         bottom = offs == 0
         top = offs == two_j - 1
         edge = alpha * j / 2.0 + alpha / 4.0
-        beta = (-omega_e / 2.0 + edge[bottom]) / hbar
-        tau = (omega_e / 2.0 + edge[top]) / hbar
+        beta = (-omega_e / 2.0 + edge[bottom]) / HBAR_UEV_NS
+        tau = (omega_e / 2.0 + edge[top]) / HBAR_UEV_NS
         zero = table.two_j == 0
         edge_amp = np.concatenate(
             (
@@ -248,7 +241,7 @@ class BoxChannel:
                 beta - omega[bottom],
                 omega[top] - tau,
                 -omega[top] - tau,
-                np.full(int(zero.sum()), -omega_e / hbar),
+                np.full(int(zero.sum()), -omega_e / HBAR_UEV_NS),
             )
         )
         self._phi_cos = np.concatenate(
@@ -282,11 +275,10 @@ def compute_channel(
     b_field_t: float,
     times,
     material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> ChannelTrace:
     """Exact box-model channel trace on a time grid starting at t=0."""
     times = np.asarray(times, dtype=np.float64)
-    channel = BoxChannel(n_spins, a_total_uev, b_field_t, material, constants)
+    channel = BoxChannel(n_spins, a_total_uev, b_field_t, material)
     q, phi = channel.evaluate(times)
     return ChannelTrace(times=times, q=q, phi=phi)
 

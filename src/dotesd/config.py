@@ -113,8 +113,9 @@ def _build_isotope(node) -> IsotopeSpec:
 
 def _build_material(node) -> MaterialSpec:
     node = _mapping(node, "material", {"isotopes", "cell_volume_nm3", "g_factor"})
+    isotopes = node.get("isotopes")
     return MaterialSpec(
-        isotopes=tuple(_build_isotope(iso) for iso in node["isotopes"]),
+        isotopes=GAAS.isotopes if isotopes is None else tuple(_build_isotope(i) for i in isotopes),
         cell_volume_nm3=float(node.get("cell_volume_nm3", GAAS.cell_volume_nm3)),
         g_factor=float(node.get("g_factor", GAAS.g_factor)),
     )

@@ -6,8 +6,9 @@ coherence factor over the fully mixed spin-3/2 bath is an exact product,
     phi(t) = prod_k (1/4) sum_m exp(-i A_k m t / hbar)
            = prod_k (1/2) [cos(A_k t / 2 hbar) + cos(3 A_k t / 2 hbar)],
 
-independent of the magnetic field. The product is accumulated as
-log-magnitude plus phase so bath sizes ~1e6 do not underflow.
+independent of the magnetic field. Every factor is real, so the product is
+a sum of real log-magnitudes plus a sign parity; bath sizes ~1e6 then do not
+underflow.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import CONSTANTS, CouplingSet, PhysicalConstants
+from .material import HBAR_UEV_NS, CouplingSet
 
 
 @dataclass
@@ -32,31 +33,27 @@ class T2Fit:
     rms_residual: float
 
 
-def dephasing_factor(
-    couplings: CouplingSet, times, constants: PhysicalConstants = CONSTANTS
-) -> DephasingTrace:
-    """Exact bath coherence factor on a time grid."""
+def dephasing_factor(couplings: CouplingSet, times) -> DephasingTrace:
+    """Exact bath coherence factor (real) on a time grid."""
     a_k = np.asarray(couplings.a_k, dtype=np.float64)
     if np.any(a_k <= 0):
         raise ValueError("all couplings must be positive")
     times = np.asarray(times, dtype=np.float64)
     # Identical couplings share one factor, raised to their multiplicity.
     values, counts = np.unique(a_k, return_counts=True)
+    odd = counts % 2 == 1
 
-    phi = np.empty(len(times), dtype=np.complex128)
-    hbar = constants.hbar_uev_ns
+    phi = np.empty(len(times))
     chunk = max(1, int(4e6 / max(1, len(values))))
     for i0 in range(0, len(times), chunk):
-        tc = times[i0 : i0 + chunk]
-        x = np.outer(values, tc) / hbar
+        x = np.outer(times[i0 : i0 + chunk], values) / HBAR_UEV_NS
         f = 0.5 * (np.cos(0.5 * x) + np.cos(1.5 * x))
-        mag = np.abs(f)
+        # Pairwise float64 sums along the contiguous axis, never BLAS, so the
+        # result does not depend on the BLAS thread count. log 0 = -inf gives 0.
         with np.errstate(divide="ignore"):
-            log_mag = counts[:, None] * np.where(mag > 0.0, np.log(np.maximum(mag, 1e-320)), -np.inf)
-        theta = counts[:, None] * np.angle(f)
-        total_log = np.sum(log_mag, axis=0, dtype=np.longdouble).astype(np.float64)
-        total_theta = np.sum(theta, axis=0, dtype=np.longdouble).astype(np.float64)
-        phi[i0 : i0 + chunk] = np.exp(total_log) * np.exp(1j * np.mod(total_theta, 2.0 * np.pi))
+            log_mag = np.sum(counts * np.log(np.abs(f)), axis=1)
+        negative = np.count_nonzero((f < 0) & odd, axis=1) % 2 == 1
+        phi[i0 : i0 + chunk] = np.where(negative, -1.0, 1.0) * np.exp(log_mag)
     return DephasingTrace(times=times, phi=phi)
 
 
@@ -80,20 +77,16 @@ def fit_t2star(trace: DephasingTrace) -> T2Fit:
     )
 
 
-def t2star_uniform(
-    n_nuclei: float, a_total_uev: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def t2star_uniform(n_nuclei: float, a_total_uev: float) -> float:
     """Closed form sqrt(8/5) sqrt(N) hbar / A for uniform spin-3/2 couplings."""
-    return math.sqrt(8.0 / 5.0) * math.sqrt(n_nuclei) * constants.hbar_uev_ns / a_total_uev
+    return math.sqrt(8.0 / 5.0) * math.sqrt(n_nuclei) * HBAR_UEV_NS / a_total_uev
 
 
-def sigma_from(
-    n_nuclei: float, a_total_uev: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def sigma_from(n_nuclei: float, a_total_uev: float) -> float:
     """Overhauser-field spread sigma (1/ns): sigma^2 = I(I+1)/3 A^2/(N hbar^2).
 
     For spin 3/2 this is 5/4 A^2/(N hbar^2), i.e. sigma = sqrt(2)/T2*.
     """
     if n_nuclei < 1:
         raise ValueError("n_nuclei must be at least 1")
-    return math.sqrt(1.25 * a_total_uev**2 / n_nuclei) / constants.hbar_uev_ns
+    return math.sqrt(1.25 * a_total_uev**2 / n_nuclei) / HBAR_UEV_NS

@@ -24,14 +24,7 @@ from .boxmodel import BoxChannel
 from .config import RunConfig
 from .dephasing import dephasing_factor
 from .entanglement import BellLabel, concurrence_closed_form, witness_closed_form
-from .material import (
-    CONSTANTS,
-    GAAS,
-    MaterialSpec,
-    PhysicalConstants,
-    electron_larmor_uev,
-    uniform_couplings,
-)
+from .material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev, uniform_couplings
 
 
 def box_equivalent_coupling(a_total_uev: float, n_spins: int, n_cells: int) -> float:
@@ -257,10 +250,7 @@ def sweep_b(
 
 
 def tsd_estimate_high_field(
-    b_field_t: float,
-    sigma_per_ns: float,
-    material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
+    b_field_t: float, sigma_per_ns: float, material: MaterialSpec = GAAS
 ) -> float:
     """High-field estimate t_SD ~ sqrt(2 ln(omega/sigma))/sigma.
 
@@ -268,7 +258,7 @@ def tsd_estimate_high_field(
     estimate balances the Gaussian coherence decay against occupation
     oscillations of relative size (sigma/omega)^2.
     """
-    omega = abs(electron_larmor_uev(b_field_t, material, constants)) / constants.hbar_uev_ns
+    omega = abs(electron_larmor_uev(b_field_t, material)) / HBAR_UEV_NS
     if omega <= sigma_per_ns:
         raise ValueError("estimate undefined: Zeeman frequency must exceed sigma")
     return math.sqrt(2.0 * math.log(omega / sigma_per_ns)) / sigma_per_ns

@@ -8,18 +8,12 @@ nm, times in ns, magnetic fields in Tesla.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar_uev_ns: float = 0.6582119569        # ueV * ns
-    bohr_magneton_uev_per_t: float = 57.8838180  # ueV / T
-
-
-CONSTANTS = PhysicalConstants()
+HBAR_UEV_NS = 0.6582119569  # ueV * ns
+BOHR_MAGNETON_UEV_PER_T = 57.8838180  # ueV / T
 
 
 @dataclass(frozen=True)
@@ -100,20 +94,15 @@ class DotGeometry:
 
 @dataclass
 class CouplingSet:
-    """Per-nucleus hyperfine constants with isotope labels."""
+    """Per-nucleus hyperfine constants and their sum."""
 
-    labels: np.ndarray
     a_k: np.ndarray
     a_total: float
 
 
-def electron_larmor_uev(
-    b_field_t: float,
-    material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def electron_larmor_uev(b_field_t: float, material: MaterialSpec = GAAS) -> float:
     """Signed electron Zeeman energy -g mu_B B (positive for g < 0, B > 0)."""
-    return -material.g_factor * constants.bohr_magneton_uev_per_t * b_field_t
+    return -material.g_factor * BOHR_MAGNETON_UEV_PER_T * b_field_t
 
 
 def uniform_couplings(a_total_uev: float, n_nuclei: int) -> CouplingSet:
@@ -122,9 +111,7 @@ def uniform_couplings(a_total_uev: float, n_nuclei: int) -> CouplingSet:
         raise ValueError("n_nuclei must be at least 1")
     if a_total_uev <= 0:
         raise ValueError("a_total must be positive")
-    a_k = np.full(n_nuclei, a_total_uev / n_nuclei)
-    labels = np.full(n_nuclei, "uniform", dtype=object)
-    return CouplingSet(labels=labels, a_k=a_k, a_total=a_total_uev)
+    return CouplingSet(a_k=np.full(n_nuclei, a_total_uev / n_nuclei), a_total=a_total_uev)
 
 
 def _envelope_exponent(geometry: DotGeometry, x, y, z):
@@ -180,21 +167,17 @@ def generate_couplings(material: MaterialSpec, geometry: DotGeometry) -> Couplin
     w /= w.sum()
 
     rng = np.random.default_rng(geometry.rng_seed)
-    all_labels: list[np.ndarray] = []
     all_ak: list[np.ndarray] = []
     for name in material.sublattices():
         species = [i for i in material.isotopes if i.sublattice == name]
         a0 = np.array([i.a0_uev for i in species])
-        labels = np.array([i.name for i in species], dtype=object)
         if len(species) == 1:
             pick = np.zeros(geometry.n_cells, dtype=np.intp)
         else:
             cdf = np.cumsum([i.abundance for i in species])
             pick = np.searchsorted(cdf, rng.random(geometry.n_cells), side="right")
             pick = np.minimum(pick, len(species) - 1)
-        all_labels.append(labels[pick])
         all_ak.append(a0[pick] * w)
 
-    labels = np.concatenate(all_labels)
     a_k = np.concatenate(all_ak)
-    return CouplingSet(labels=labels, a_k=a_k, a_total=float(math.fsum(a_k)))
+    return CouplingSet(a_k=a_k, a_total=float(math.fsum(a_k)))

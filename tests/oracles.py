@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dotesd.entanglement import BellLabel
-from dotesd.material import CONSTANTS, GAAS, MaterialSpec, PhysicalConstants, electron_larmor_uev
+from dotesd.material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev
 
 
 @dataclass(frozen=True)
@@ -187,14 +187,13 @@ def block_params(
     b_field_t: float,
     alpha_uev: float,
     material: MaterialSpec = GAAS,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> BlockParams:
     """Block energies and flip-flop element for sector (J, m)."""
     if abs(two_m) > two_j:
         raise ValueError(f"twoM={two_m} outside [-{two_j}, {two_j}]")
     if (two_j - two_m) % 2 != 0:
         raise ValueError("twoM must have the parity of twoJ")
-    omega_e = electron_larmor_uev(b_field_t, material, constants)
+    omega_e = electron_larmor_uev(b_field_t, material)
     j = two_j / 2.0
     m = two_m / 2.0
     e_up = omega_e / 2.0 + alpha_uev * m / 2.0
@@ -205,9 +204,7 @@ def block_params(
     return BlockParams(e_up=e_up, e_down=e_down, v=v)
 
 
-def block_amplitudes(
-    params: BlockParams, t_ns: float, constants: PhysicalConstants = CONSTANTS
-) -> tuple[complex, complex]:
+def block_amplitudes(params: BlockParams, t_ns: float) -> tuple[complex, complex]:
     """Stay-up and transfer amplitudes (a, b) of a block at time t.
 
     Closed Rabi form: with Ebar = (E_up + E_down)/2, Delta = (E_up - E_down)/2
@@ -216,7 +213,7 @@ def block_amplitudes(
         a = exp(-i Ebar t/hbar) (cos Omega t - i Delta/sqrt(...) sin Omega t)
         b = -i V/sqrt(...) exp(-i Ebar t/hbar) sin Omega t
     """
-    hbar = constants.hbar_uev_ns
+    hbar = HBAR_UEV_NS
     if params.is_one_dimensional:
         return complex(np.exp(-1j * params.e_up * t_ns / hbar)), 0.0 + 0.0j
     ebar = 0.5 * (params.e_up + params.e_down)

@@ -8,7 +8,7 @@ from oracles import BlockParams, ChannelSnapshot, apply_snapshot, block_amplitud
 
 from dotesd.boxmodel import BoxChannel, compute_channel, sector_weights
 from dotesd.dephasing import dephasing_factor, t2star_uniform
-from dotesd.material import CONSTANTS, uniform_couplings
+from dotesd.material import HBAR_UEV_NS, uniform_couplings
 
 # box bath matched to the default physical dot (A = 83 ueV over 1.5e6 cells)
 A_BOX_50 = 83.0 * math.sqrt(50 / 1.5e6)
@@ -193,7 +193,7 @@ class TestComputeChannel:
         alpha = a_total / n
         times = np.array([0.7, 5.3, 21.0])
         table = sector_weights(n)
-        hbar = CONSTANTS.hbar_uev_ns
+        hbar = HBAR_UEV_NS
         q_ref = np.zeros(len(times))
         phi_ref = np.zeros(len(times), dtype=complex)
         for tj, w in zip(table.two_j, table.weights):

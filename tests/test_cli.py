@@ -10,6 +10,7 @@ import pytest
 import dotesd
 from dotesd.cli import main
 from dotesd.config import ConfigError, default_config, load_config
+from dotesd.material import GAAS
 
 # Subprocesses import dotesd from the same source tree as these tests.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(dotesd.__file__)))
@@ -68,6 +69,16 @@ class TestConfig:
         assert config.dots[0].n_spins == 30
         assert config.grid.t_steps == 500
         config.validate()
+
+    def test_material_block_defaults_isotopes(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("material: {g_factor: -2.0}\n")
+        config = load_config(str(path))
+        assert config.material.g_factor == -2.0
+        assert config.material.isotopes == GAAS.isotopes
+        code, out, _ = run_cli("--config", str(path), "channel", "--b-mt", "20")
+        assert code == 0
+        assert out.startswith("t_ns,q,re_phi,im_phi")
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

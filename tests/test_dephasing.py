@@ -12,18 +12,13 @@ from dotesd.dephasing import (
     sigma_from,
     t2star_uniform,
 )
-from dotesd.material import CONSTANTS, CouplingSet, uniform_couplings
-
-HBAR = CONSTANTS.hbar_uev_ns
+from dotesd.material import HBAR_UEV_NS as HBAR
+from dotesd.material import CouplingSet, uniform_couplings
 
 
 def coupling_set(values):
     values = np.asarray(values, dtype=float)
-    return CouplingSet(
-        labels=np.full(len(values), "test", dtype=object),
-        a_k=values,
-        a_total=float(values.sum()),
-    )
+    return CouplingSet(a_k=values, a_total=float(values.sum()))
 
 
 class TestDephasingFactor:
@@ -31,12 +26,15 @@ class TestDephasingFactor:
         trace = dephasing_factor(uniform_couplings(83.0, 100), np.linspace(0, 5, 10))
         assert trace.phi[0] == 1.0 + 0.0j
 
-    def test_single_nucleus_value(self):
-        # A t / hbar = 2 pi / 3: phi = (cos(pi/3) + cos(pi)) / 2 = -1/4
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_single_nucleus_value(self, copies):
+        # A t / hbar = 2 pi / 3: phi = (cos(pi/3) + cos(pi)) / 2 = -1/4 per
+        # copy, so the sign parity follows the multiplicity
         a = 1.3
         t = (2.0 * np.pi / 3.0) * HBAR / a
-        trace = dephasing_factor(coupling_set([a]), [0.0, t])
-        assert trace.phi[1].real == pytest.approx(-0.25, abs=1e-14)
+        trace = dephasing_factor(coupling_set([a] * copies), [0.0, t])
+        assert trace.phi.dtype == np.float64
+        assert trace.phi[1].real == pytest.approx((-0.25) ** copies, abs=1e-14)
         assert trace.phi[1].imag == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -58,8 +56,6 @@ class TestDephasingFactor:
         assert np.all(np.abs(trace.phi) <= 1.0 + 1e-14)
 
     def test_unique_value_grouping_matches_direct(self):
-        # uniform couplings exercise the grouped path; a shuffled copy with a
-        # tiny spread exercises the direct path on the same scale
         times = np.linspace(0.0, 30.0, 50)
         uniform = dephasing_factor(uniform_couplings(5.0, 1000), times)
         explicit = dephasing_factor(coupling_set(np.full(1000, 5.0 / 1000.0)), times)
