@@ -37,6 +37,9 @@ MAX_SPINS = 4096
 # temporaries to tens of MB for any bath size and any number of times.
 _CHUNK_ELEMENTS = 1 << 18
 
+# Times within this many ulps of t_0 + i dt count as a uniform grid.
+_GRID_ULPS = 4
+
 
 @dataclass
 class SectorTable:
@@ -181,7 +184,8 @@ class BoxChannel:
     one-dimensional state at m = +-J) and the J = 0 line. The table is built
     once, in a fixed order, at construction.
 
-    A uniform grid t_i = t_0 + i dt is evaluated as t = x_a + y_b with
+    A uniform grid t_i = t_0 + i dt (to within a few ulps, which admits
+    np.linspace and its exact endpoint) is evaluated as t = x_a + y_b with
     x_a = t_0 + a L dt, y_b = b dt and L = ceil(sqrt(M)), so each line needs
     about 2 sqrt(M) exponentials instead of M; any other times use
     x = times, y = 0. _trig_sums does the fixed-order contraction.
@@ -259,7 +263,8 @@ class BoxChannel:
         x, y = times, np.zeros(1)
         if size > 2:
             step = (times[-1] - times[0]) / (size - 1)
-            if np.array_equal(times, times[0] + np.arange(size) * step):
+            ulps = _GRID_ULPS * np.spacing(np.max(np.abs(times)))
+            if np.all(np.abs(times - (times[0] + np.arange(size) * step)) <= ulps):
                 cols = math.isqrt(size - 1) + 1
                 x = times[0] + np.arange(0, size, cols) * step
                 y = np.arange(cols) * step

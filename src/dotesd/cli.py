@@ -27,8 +27,6 @@ from .experiments import (
 )
 from .material import generate_couplings, uniform_couplings
 
-_WORKERS_ENV = "DOTESD_WORKERS"
-
 
 def _fmt(value) -> str:
     return f"{float(value):.17g}"
@@ -40,18 +38,6 @@ def _write_table(stream, header: list[str], rows) -> None:
         print(",".join(_fmt(v) for v in row), file=stream)
 
 
-def _field_tesla(args) -> float:
-    if args.b_mt is not None:
-        return args.b_mt * 1e-3
-    return args.b_t if args.b_t is not None else 0.0
-
-
-def _add_field_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--b-t", type=float, default=None, help="magnetic field in Tesla")
-    group.add_argument("--b-mt", type=float, default=None, help="magnetic field in millitesla")
-
-
 def _bell(config: RunConfig, args) -> BellLabel:
     """--bell when given, else the configuration's bell key."""
     label = config.bell if args.bell is None else args.bell
@@ -61,23 +47,12 @@ def _bell(config: RunConfig, args) -> BellLabel:
         raise ConfigError(f"unknown Bell label {label!r}") from exc
 
 
-def _workers(args) -> int | None:
-    """--workers when given, else $DOTESD_WORKERS when set."""
-    value = os.environ.get(_WORKERS_ENV)
-    if args.workers is not None or not value:
-        return args.workers
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{_WORKERS_ENV} must be an integer") from exc
-
-
 def cmd_channel(config: RunConfig, args, out) -> int:
     dot = config.dots[args.dot - 1]
     trace = compute_channel(
         dot.n_spins,
         box_equivalent_coupling(dot.a_total_uev, dot.n_spins, dot.n_cells),
-        _field_tesla(args),
+        args.b_mt * 1e-3,
         config.times(),
         material=config.material,
     )
@@ -92,7 +67,7 @@ def cmd_channel(config: RunConfig, args, out) -> int:
 def cmd_concurrence(config: RunConfig, args, out) -> int:
     trace = concurrence_trace(
         config,
-        _field_tesla(args),
+        args.b_mt * 1e-3,
         bell=_bell(config, args),
         high_field=args.high_field,
     )
@@ -105,18 +80,13 @@ def cmd_concurrence(config: RunConfig, args, out) -> int:
 
 
 def cmd_sweep(config: RunConfig, args, out) -> int:
-    if args.b_min_mt is not None or args.b_max_mt is not None:
-        if args.b_min_mt is None or args.b_max_mt is None:
-            raise ConfigError("--b-min-mt and --b-max-mt must be given together")
-        b_min, b_max = args.b_min_mt * 1e-3, args.b_max_mt * 1e-3
-    else:
-        b_min, b_max = args.b_min_t, args.b_max_t
+    b_min, b_max = args.b_min_mt * 1e-3, args.b_max_mt * 1e-3
     if b_max < b_min:
-        raise ConfigError("sweep needs b_max >= b_min")
+        raise ConfigError("sweep needs --b-max-mt >= --b-min-mt")
     if args.b_steps < 1:
         raise ConfigError("--b-steps must be >= 1")
     grid = np.linspace(b_min, b_max, args.b_steps)
-    result = sweep_b(config, grid, bell=_bell(config, args), workers=_workers(args))
+    result = sweep_b(config, grid, bell=_bell(config, args), workers=args.workers)
     rows = []
     for rec in result.records:
         death = rec.death
@@ -164,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channel", help="single-dot channel q(t), phi(t)")
-    _add_field_flags(p)
+    p.add_argument("--b-mt", type=float, default=0.0, help="magnetic field in millitesla")
     p.add_argument("--dot", type=int, choices=(1, 2), default=1)
 
     p = sub.add_parser("concurrence", help="Bell-state concurrence and witness trace")
-    _add_field_flags(p)
+    p.add_argument("--b-mt", type=float, default=0.0, help="magnetic field in millitesla")
     p.add_argument(
         "--bell",
         default=None,
@@ -181,17 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep", help="sudden-death time versus magnetic field")
-    p.add_argument("--b-min-t", type=float, default=0.0)
-    p.add_argument("--b-max-t", type=float, default=0.03)
-    p.add_argument("--b-min-mt", type=float, default=None)
-    p.add_argument("--b-max-mt", type=float, default=None)
+    p.add_argument("--b-min-mt", type=float, default=0.0)
+    p.add_argument("--b-max-mt", type=float, default=30.0)
     p.add_argument("--b-steps", type=int, default=100)
     p.add_argument("--bell", default=None, help="Bell label (default: the config's bell key)")
     p.add_argument(
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes, at most the field and CPU counts (default: ${_WORKERS_ENV} or 1)",
+        help="worker processes, at most the field and CPU counts (default: 1)",
     )
 
     p = sub.add_parser("dephasing", help="pure-dephasing coherence and T2* fit")

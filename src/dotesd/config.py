@@ -60,7 +60,6 @@ class RunConfig:
     dots: tuple[DotConfig, DotConfig] = (DotConfig(seed=1), DotConfig(seed=2))
     grid: GridConfig = GridConfig()
     bell: str = "psi-plus"
-    zero_tol: float = 1e-9
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.grid.t_max_ns, self.grid.t_steps)
@@ -101,13 +100,12 @@ def _mapping(node, where: str, known: set[str]) -> dict:
 
 
 def _build_isotope(node) -> IsotopeSpec:
-    node = _mapping(node, "isotope", {"name", "a0_uev", "abundance", "sublattice", "spin"})
+    node = _mapping(node, "isotope", {"name", "a0_uev", "abundance", "sublattice"})
     return IsotopeSpec(
         name=str(node["name"]),
         a0_uev=float(node["a0_uev"]),
         abundance=float(node["abundance"]),
         sublattice=str(node["sublattice"]),
-        spin=float(node.get("spin", 1.5)),
     )
 
 
@@ -121,13 +119,22 @@ def _build_material(node) -> MaterialSpec:
     )
 
 
+def _integer(value, key: str) -> int:
+    """value as an int; booleans and non-integral numbers are errors, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 _DOT_KEYS = {"n_spins", "n_cells", "a_total_uev", "l_perp_nm", "l_z_nm", "seed"}
 
 
 def _build_dot(node, index: int) -> DotConfig:
     node = _mapping(node, f"dot {index + 1}", _DOT_KEYS)
     base = DotConfig(seed=index + 1)
-    ints = {k: int(node[k]) for k in ("n_spins", "n_cells", "seed") if k in node}
+    ints = {k: _integer(node[k], k) for k in ("n_spins", "n_cells", "seed") if k in node}
     floats = {k: float(node[k]) for k in ("a_total_uev", "l_perp_nm", "l_z_nm") if k in node}
     return replace(base, **ints, **floats)
 
@@ -136,7 +143,7 @@ def _build_grid(node) -> GridConfig:
     node = _mapping(node, "grid", {"t_max_ns", "t_steps", "horizon_ns"})
     return GridConfig(
         t_max_ns=float(node.get("t_max_ns", 100.0)),
-        t_steps=int(node.get("t_steps", 2000)),
+        t_steps=_integer(node.get("t_steps", 2000), "t_steps"),
         horizon_ns=float(node.get("horizon_ns", node.get("t_max_ns", 100.0))),
     )
 
@@ -152,7 +159,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if raw is None:
         return default_config()
-    _mapping(raw, "top-level config", {"material", "dots", "grid", "bell", "zero_tol"})
+    _mapping(raw, "top-level config", {"material", "dots", "grid", "bell"})
     try:
         material = _build_material(raw["material"]) if "material" in raw else GAAS
         if "dots" in raw:
@@ -167,7 +174,6 @@ def load_config(path: str) -> RunConfig:
             dots=dots,
             grid=_build_grid(raw.get("grid", {})),
             bell=str(raw.get("bell", "psi-plus")),
-            zero_tol=float(raw.get("zero_tol", 1e-9)),
         )
     except ConfigError:
         raise

@@ -13,6 +13,7 @@ finite-field concurrence trace from above.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,10 @@ from .config import RunConfig
 from .dephasing import dephasing_factor
 from .entanglement import BellLabel, concurrence_closed_form, witness_closed_form
 from .material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev, uniform_couplings
+
+
+# C(t) <= ZERO_TOL counts as disentangled.
+ZERO_TOL = 1e-9
 
 
 def box_equivalent_coupling(a_total_uev: float, n_spins: int, n_cells: int) -> float:
@@ -97,11 +102,10 @@ class _TracePair:
         witness = witness_closed_form(self.bell, q1, phi1, q2, phi2)
         return conc, witness, max(q1.max(), q2.max())
 
-    def concurrence_at(self, t: float) -> float:
-        return float(self.evaluate([t])[0][0])
-
-    def witness_at(self, t: float) -> float:
-        return float(self.evaluate([t])[1][0])
+    def at(self, t: float) -> tuple[float, float]:
+        """(C, W) at one time."""
+        conc, witness, _ = self.evaluate([t])
+        return float(conc[0]), float(witness[0])
 
 
 def concurrence_trace(
@@ -159,21 +163,17 @@ def _terminal_crossing(t, f, threshold: float, refine=None) -> float | None:
 
 
 def find_sudden_death(
-    times,
-    concurrence,
-    horizon: float,
-    zero_tol: float = 1e-9,
-    c_refine=None,
-    witness=None,
-    w_refine=None,
+    times, concurrence, horizon: float, witness=None, refine=None
 ) -> SuddenDeathResult:
     """Locate the terminal zero of C(t) and of the witness on a uniform grid.
 
     The death time is grid-bracketed and then refined to 1e-3 ns by bisection
-    on c_refine when provided (linear interpolation otherwise). Revivals are
-    counted from the sign structure of C - zero_tol. The witness zero is the
-    same search on -W with the threshold zero_tol/2, the exact image of the
-    concurrence threshold for evolved Bell states.
+    on C from refine(t) -> (C, W) when provided (linear interpolation
+    otherwise). Revivals are counted from the sign structure of C - ZERO_TOL.
+    The witness zero is the same search on -W with the threshold ZERO_TOL/2,
+    the exact image of the concurrence threshold for evolved Bell states.
+    refine is memoised, so where both zeros share a grid bracket the witness
+    bisection reuses every evaluation of the concurrence bisection.
     """
     times = np.asarray(times, dtype=np.float64)
     concurrence = np.asarray(concurrence, dtype=np.float64)
@@ -183,14 +183,18 @@ def find_sudden_death(
     if len(t) < 2:
         raise ValueError("trace does not cover [0, horizon]")
 
-    alive = c > zero_tol
+    alive = c > ZERO_TOL
     revivals = int(np.count_nonzero(np.diff(alive.astype(np.int8)) == 1))
-    t_sd = _terminal_crossing(t, c, zero_tol, c_refine)
+    c_refine = w_refine = None
+    if refine is not None:
+        refine = functools.cache(refine)
+        c_refine = lambda x: refine(x)[0]
+        w_refine = lambda x: -refine(x)[1]
+    t_sd = _terminal_crossing(t, c, ZERO_TOL, c_refine)
     witness_zero = None
     if witness is not None:
         w = np.asarray(witness, dtype=np.float64)[in_horizon]
-        neg_refine = None if w_refine is None else (lambda x: -w_refine(x))
-        witness_zero = _terminal_crossing(t, -w, 0.5 * zero_tol, neg_refine)
+        witness_zero = _terminal_crossing(t, -w, 0.5 * ZERO_TOL, w_refine)
 
     return SuddenDeathResult(
         t_sd=t_sd, witness_zero=witness_zero, horizon=float(horizon), revival_count=revivals
@@ -198,19 +202,11 @@ def find_sudden_death(
 
 
 def _sweep_record(args) -> BFieldRecord:
-    config, b_field_t, bell_value, zero_tol = args
+    config, b_field_t, bell_value = args
     pair = _TracePair(config, b_field_t, BellLabel(bell_value))
     times = config.times()
     conc, witness, leak = pair.evaluate(times)
-    death = find_sudden_death(
-        times,
-        conc,
-        config.grid.horizon_ns,
-        zero_tol=zero_tol,
-        c_refine=pair.concurrence_at,
-        witness=witness,
-        w_refine=pair.witness_at,
-    )
+    death = find_sudden_death(times, conc, config.grid.horizon_ns, witness=witness, refine=pair.at)
     return BFieldRecord(b_field_t=b_field_t, death=death, max_occupation_leak=float(leak))
 
 
@@ -225,7 +221,6 @@ def sweep_b(
     config: RunConfig,
     b_grid,
     bell: BellLabel = BellLabel.PSI_PLUS,
-    zero_tol: float | None = None,
     workers: int | None = None,
 ) -> SweepResult:
     """Sudden-death and witness-zero times over an ordered magnetic-field grid.
@@ -238,8 +233,7 @@ def sweep_b(
     b_grid = np.asarray(b_grid, dtype=np.float64)
     if np.any(np.diff(b_grid) < 0):
         raise ValueError("b_grid must be ordered")
-    tol = config.zero_tol if zero_tol is None else zero_tol
-    jobs = [(config, float(b), bell.value, tol) for b in b_grid]
+    jobs = [(config, float(b), bell.value) for b in b_grid]
     size = pool_size(workers, len(jobs))
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:

@@ -18,21 +18,18 @@ BOHR_MAGNETON_UEV_PER_T = 57.8838180  # ueV / T
 
 @dataclass(frozen=True)
 class IsotopeSpec:
-    """One nuclear species: total hyperfine constant, abundance, sublattice."""
+    """One spin-3/2 nuclear species: total hyperfine constant, abundance, sublattice."""
 
     name: str
     a0_uev: float
     abundance: float
     sublattice: str
-    spin: float = 1.5
 
     def __post_init__(self):
         if self.a0_uev <= 0:
             raise ValueError(f"isotope {self.name}: a0 must be positive")
         if not 0.0 <= self.abundance <= 1.0:
             raise ValueError(f"isotope {self.name}: abundance outside [0, 1]")
-        if self.spin != 1.5:
-            raise ValueError("only spin-3/2 nuclei are supported")
 
 
 @dataclass(frozen=True)

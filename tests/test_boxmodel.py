@@ -6,6 +6,7 @@ import pytest
 from helpers import dense_channel, multiplicity_by_diagonalization
 from oracles import BlockParams, ChannelSnapshot, apply_snapshot, block_amplitudes, block_params
 
+from dotesd import boxmodel
 from dotesd.boxmodel import BoxChannel, compute_channel, sector_weights
 from dotesd.dephasing import dephasing_factor, t2star_uniform
 from dotesd.material import HBAR_UEV_NS, uniform_couplings
@@ -233,6 +234,26 @@ class TestLineSpectrum:
         q_sub, phi_sub = channel.evaluate(times[picks])
         assert np.abs(q_sub - q[picks]).max() <= 1e-13
         assert np.abs(phi_sub - phi[picks]).max() <= 1e-13
+
+    def test_linspace_grid_takes_factored_path(self, monkeypatch):
+        # np.linspace pins its last point to stop, an ulp off t_0 + i dt.
+        times = np.linspace(0.0, 100.0, 1200)
+        assert not np.array_equal(times, np.arange(1200) * (times[-1] / 1199))
+        trig_sums = boxmodel._trig_sums
+        rows = []
+
+        def spy(nu, cos_coef, sin_coef, x, y):
+            rows.append(len(x))
+            return trig_sums(nu, cos_coef, sin_coef, x, y)
+
+        monkeypatch.setattr(boxmodel, "_trig_sums", spy)
+        channel = BoxChannel(50, A_BOX_50, 0.02)
+        q, phi = channel.evaluate(times)
+        picks = np.unique(np.r_[np.random.default_rng(3).choice(1199, 80, replace=False), 1199])
+        q_pt, phi_pt = channel.evaluate(times[picks])
+        assert rows == [35, 35, len(picks), len(picks)]
+        assert np.abs(q_pt - q[picks]).max() <= 1e-13
+        assert np.abs(phi_pt - phi[picks]).max() <= 1e-13
 
     def test_exact_values_at_zero(self):
         channel = BoxChannel(50, A_BOX_50, 0.02)

@@ -109,8 +109,30 @@ class TestConfig:
             "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As}\n",
             "grid: 5\n",
             "dots:\n  - {n_spins: 4097}\n  - {n_spins: 50}\n",
+            "dots:\n  - {n_spins: 30.9}\n  - {n_spins: 30}\n",
+            "dots:\n  - {n_spins: true}\n  - {n_spins: 30}\n",
+            "dots:\n  - {n_cells: 1500000.5}\n  - {}\n",
+            "dots:\n  - {seed: 1.5}\n  - {}\n",
+            "grid: {t_steps: 200.7}\n",
+            "material:\n"
+            "  isotopes:\n"
+            "    - {name: Ga69, a0_uev: 36.0, abundance: 0.604, sublattice: Ga}\n"
+            "    - {name: Ga71, a0_uev: 46.0, abundance: 0.396, sublattice: Ga}\n"
+            "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As, spin: 4.5}\n",
         ],
-        ids=["grid-key", "material-key", "isotope-key", "grid-not-mapping", "n-spins-bound"],
+        ids=[
+            "grid-key",
+            "material-key",
+            "isotope-key",
+            "grid-not-mapping",
+            "n-spins-bound",
+            "n-spins-fraction",
+            "n-spins-bool",
+            "n-cells-fraction",
+            "seed-fraction",
+            "t-steps-fraction",
+            "isotope-spin",
+        ],
     )
     def test_rejected_before_computing(self, tmp_path, monkeypatch, text):
         def refuse(*args, **kwargs):
@@ -119,7 +141,7 @@ class TestConfig:
         monkeypatch.setattr("dotesd.cli.compute_channel", refuse)
         path = tmp_path / "bad.yaml"
         path.write_text(text)
-        code, out, err = run_cli("--config", str(path), "channel", "--b-t", "0")
+        code, out, err = run_cli("--config", str(path), "channel", "--b-mt", "0")
         assert code == 2
         assert out == ""
         assert "config error" in err
@@ -137,7 +159,7 @@ class TestConfig:
 
 class TestChannelCommand:
     def test_default_rows(self, small_config_file):
-        code, out, _ = run_cli("--config", small_config_file, "channel", "--b-t", "0")
+        code, out, _ = run_cli("--config", small_config_file, "channel", "--b-mt", "0")
         assert code == 0
         header, rows = parse_table(out)
         assert header == ["t_ns", "q", "re_phi", "im_phi"]
@@ -148,20 +170,15 @@ class TestChannelCommand:
         assert rows[0, 3] == 0.0
 
     def test_default_config_has_2000_rows(self):
-        code, out, _ = run_cli("channel", "--b-t", "0")
+        code, out, _ = run_cli("channel", "--b-mt", "0")
         assert code == 0
         _, rows = parse_table(out)
         assert rows.shape[0] == 2000
 
-    def test_millitesla_flag(self, small_config_file):
-        _, out_mt, _ = run_cli("--config", small_config_file, "channel", "--b-mt", "20")
-        _, out_t, _ = run_cli("--config", small_config_file, "channel", "--b-t", "0.02")
-        assert out_mt == out_t
-
     def test_malformed_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("dots: [::bad\n")
-        code, out, err = run_cli("--config", str(path), "channel", "--b-t", "0")
+        code, out, err = run_cli("--config", str(path), "channel", "--b-mt", "0")
         assert code == 2
         assert out == ""
         assert "config error" in err
@@ -242,28 +259,22 @@ class TestSweepCommand:
         assert np.all(np.isfinite(rows[:, 1]))
         np.testing.assert_allclose(rows[:, 1], rows[:, 2], atol=1e-3)
 
-    def test_worker_env_override_same_output(self, small_config_file, monkeypatch):
+    def test_workers_flag_same_output(self, small_config_file):
         args = (
             "--config", small_config_file, "sweep",
             "--b-min-mt", "8", "--b-max-mt", "12", "--b-steps", "3",
         )
         _, serial, _ = run_cli(*args)
-        monkeypatch.setenv("DOTESD_WORKERS", "2")
-        _, parallel, _ = run_cli(*args)
+        _, parallel, _ = run_cli(*args, "--workers", "2")
         assert serial == parallel
 
-    def test_bad_worker_env_and_step_count_are_config_errors(self, small_config_file, monkeypatch):
+    def test_bad_step_count_is_config_error(self, small_config_file):
         args = ("--config", small_config_file, "sweep", "--b-min-mt", "8", "--b-max-mt", "12")
         for steps in ("0", "-3"):
             code, out, err = run_cli(*args, "--b-steps", steps)
             assert code == 2
             assert out == ""
             assert "--b-steps" in err
-        monkeypatch.setenv("DOTESD_WORKERS", "two")
-        code, out, err = run_cli(*args, "--b-steps", "2")
-        assert code == 2
-        assert out == ""
-        assert "DOTESD_WORKERS" in err
 
     def test_output_independent_of_blas_threads(self, small_config_file):
         argv = [
@@ -273,7 +284,6 @@ class TestSweepCommand:
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
-            env.pop("DOTESD_WORKERS", None)
             result = subprocess.run(argv, capture_output=True, env=env, timeout=600)
             assert result.returncode == 0
             outputs.append(result.stdout)
@@ -289,7 +299,7 @@ class TestSweepCommand:
             "  - {n_spins: 30}\n"
         )
         code, out, _ = run_cli(
-            "--config", str(path), "sweep", "--b-min-t", "0", "--b-max-t", "0.01", "--b-steps", "2"
+            "--config", str(path), "sweep", "--b-min-mt", "0", "--b-max-mt", "10", "--b-steps", "2"
         )
         assert code == 0
         _, rows = parse_table(out)
@@ -359,7 +369,7 @@ def test_import_leaves_scipy_fft_unloaded():
 
 def test_console_entry_point():
     result = subprocess.run(
-        [sys.executable, "-m", "dotesd.cli", "channel", "--b-t", "0"],
+        [sys.executable, "-m", "dotesd.cli", "channel", "--b-mt", "0"],
         capture_output=True,
         text=True,
         timeout=600,

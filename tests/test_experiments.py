@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dotesd.boxmodel import BoxChannel
 from dotesd.config import DotConfig, GridConfig, RunConfig, default_config
 from dotesd.dephasing import sigma_from, t2star_uniform
 from dotesd.entanglement import BellLabel
@@ -164,6 +165,24 @@ class TestSweep:
             assert rec.death.t_sd is not None
             assert rec.death.witness_zero == pytest.approx(rec.death.t_sd, abs=1e-3)
             assert 0.0 < rec.max_occupation_leak < 1.0
+
+    def test_psi_plus_record_bisects_once(self, monkeypatch):
+        # The psi-plus witness zero shares the concurrence's grid bracket, so
+        # its bisection reuses every point evaluation of the C bisection.
+        config = fast_config()
+        evaluate = BoxChannel.evaluate
+        points = []
+
+        def counting(channel, times):
+            if np.size(times) == 1:
+                points.append(times)
+            return evaluate(channel, times)
+
+        monkeypatch.setattr(BoxChannel, "evaluate", counting)
+        death = sweep_b(config, [0.0165]).records[0].death
+        assert death.t_sd is not None and death.witness_zero is not None
+        dt = config.times()[1]
+        assert 0 < len(points) <= math.ceil(math.log2(dt / 1e-3))
 
     def test_rejects_unordered_grid(self):
         with pytest.raises(ValueError):

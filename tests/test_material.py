@@ -69,10 +69,6 @@ class TestMaterialSpec:
                 g_factor=-0.44,
             )
 
-    def test_only_spin_three_half(self):
-        with pytest.raises(ValueError):
-            IsotopeSpec("In115", 56.0, 1.0, "In", spin=4.5)
-
 
 class TestGenerateCouplings:
     def test_default_dot_total(self):
