@@ -29,9 +29,14 @@ import numpy as np
 
 from .material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev
 
-# Largest box bath. The channel has O(N^2) lines; a 2,000-time evaluation
-# already takes about 2 s at N = 200 on two cores.
+# Largest box bath. The full line table has O(N^2) lines, but the tail cut
+# keeps about 100 N of them (about 4e5 at N = 4,096).
 MAX_SPINS = 4096
+
+# Total sector mass sum w(J)(2J+1) of the top-J sectors that BoxChannel
+# leaves out of its line table; q and phi then move by at most twice the
+# mass actually dropped (BoxChannel.truncation_bound).
+_TAIL_BUDGET = 1e-16
 
 # (x rows + y rows) x lines per contraction step of _trig_sums; keeps its
 # temporaries to tens of MB for any bath size and any number of times.
@@ -184,6 +189,17 @@ class BoxChannel:
     one-dimensional state at m = +-J) and the J = 0 line. The table is built
     once, in a fixed order, at construction.
 
+    The sector masses w(J)(2J+1) fall off like a Gaussian in J, so the table
+    leaves out the top-J sectors whose masses sum to at most _TAIL_BUDGET;
+    truncation_bound is the mass actually dropped. Every block amplitude has
+    modulus at most 1, so a dropped sector moves q and phi by at most twice
+    its mass: both stay within 2 truncation_bound of the full table. The
+    kept lines grow about linearly in N, the full table as N^2.
+
+    The lines' cos amplitudes sum to the kept mass, 1 - truncation_bound up
+    to rounding, and phi is evaluated as 1 + sum_k a_k (cos(nu_k t) - 1) +
+    i sum_k b_k sin(nu_k t), so phi(0) = 1 and q(0) = 0 exactly for any N.
+
     A uniform grid t_i = t_0 + i dt (to within a few ulps, which admits
     np.linspace and its exact endpoint) is evaluated as t = x_a + y_b with
     x_a = t_0 + a L dt, y_b = b dt and L = ceil(sqrt(M)), so each line needs
@@ -199,7 +215,15 @@ class BoxChannel:
         self.b_field_t = b_field_t
         alpha = a_total_uev / n_spins
         omega_e = electron_larmor_uev(b_field_t, material)
-        table = sector_weights(n_spins)
+        full = sector_weights(n_spins)
+        # tail[i]: mass of sector i and of every sector above it (0 past the
+        # top), summed from the top, smallest terms first. The sectors whose
+        # tail is within the budget are dropped before any per-block array
+        # exists.
+        tail = np.append(np.cumsum((full.weights * (full.two_j + 1))[::-1])[::-1], 0.0)
+        kept = int(np.count_nonzero(tail > _TAIL_BUDGET))
+        self.truncation_bound = float(tail[kept])
+        table = SectorTable(n_spins, full.two_j[:kept], full.weights[:kept])
 
         # Flattened 2-dim blocks, ascending (J, block m = -J .. J-1).
         two_j = np.repeat(table.two_j, table.two_j)
@@ -254,7 +278,6 @@ class BoxChannel:
         self._phi_sin = np.concatenate(
             (-w_in * (d_hi + d_lo) / 2.0, w_in * (d_lo - d_hi) / 2.0, edge_amp)
         )
-        self._phi_at_zero = math.fsum(self._phi_cos)
 
     def evaluate(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(q, phi) arrays on the given times (ns)."""
@@ -270,7 +293,7 @@ class BoxChannel:
                 y = np.arange(cols) * step
         q, _ = _trig_sums(self._q_nu, self._q_cos, None, x, y)
         phi_cos, phi_sin = _trig_sums(self._phi_nu, self._phi_cos, self._phi_sin, x, y)
-        phi = (phi_cos + self._phi_at_zero) + 1j * phi_sin
+        phi = (1.0 + phi_cos) + 1j * phi_sin
         return q.ravel()[:size], phi.ravel()[:size]
 
 

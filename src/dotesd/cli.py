@@ -124,6 +124,17 @@ def cmd_dephasing(config: RunConfig, args, out, err) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """argparse type of the field flags: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dotesd",
@@ -134,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channel", help="single-dot channel q(t), phi(t)")
-    p.add_argument("--b-mt", type=float, default=0.0, help="magnetic field in millitesla")
+    p.add_argument("--b-mt", type=_finite, default=0.0, help="magnetic field in millitesla")
     p.add_argument("--dot", type=int, choices=(1, 2), default=1)
 
     p = sub.add_parser("concurrence", help="Bell-state concurrence and witness trace")
-    p.add_argument("--b-mt", type=float, default=0.0, help="magnetic field in millitesla")
+    p.add_argument("--b-mt", type=_finite, default=0.0, help="magnetic field in millitesla")
     p.add_argument(
         "--bell",
         default=None,
@@ -151,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep", help="sudden-death time versus magnetic field")
-    p.add_argument("--b-min-mt", type=float, default=0.0)
-    p.add_argument("--b-max-mt", type=float, default=30.0)
+    p.add_argument("--b-min-mt", type=_finite, default=0.0)
+    p.add_argument("--b-max-mt", type=_finite, default=30.0)
     p.add_argument("--b-steps", type=int, default=100)
     p.add_argument("--bell", default=None, help="Bell label (default: the config's bell key)")
     p.add_argument(

@@ -8,7 +8,8 @@ defaults encode the identical-dot GaAs setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -67,6 +68,10 @@ class RunConfig:
     def validate(self) -> None:
         if len(self.dots) != 2:
             raise ConfigError("exactly two dot blocks are required")
+        blocks = (self.grid, self.material, *self.material.isotopes, *self.dots)
+        bad = [name for block in blocks for name in _non_finite(block)]
+        if bad:
+            raise ConfigError(f"values must be finite: {', '.join(bad)}")
         if self.grid.t_steps < 2 or self.grid.t_max_ns <= 0:
             raise ConfigError("grid needs t_max_ns > 0 and t_steps >= 2")
         if self.grid.horizon_ns > self.grid.t_max_ns:
@@ -78,11 +83,22 @@ class RunConfig:
                 raise ConfigError(f"dot {i + 1}: need 1 <= n_spins <= {MAX_SPINS}, n_cells >= 1")
             if dot.a_total_uev <= 0:
                 raise ConfigError(f"dot {i + 1}: a_total_uev must be positive")
+            if dot.l_perp_nm <= 0 or dot.l_z_nm <= 0:
+                raise ConfigError(f"dot {i + 1}: l_perp_nm and l_z_nm must be positive")
             if abs(self.material.mean_a0_per_cell() - dot.a_total_uev) > 0.1:
                 raise ConfigError(
                     f"dot {i + 1}: a_total_uev inconsistent with the material "
                     f"isotope table ({self.material.mean_a0_per_cell():.2f} ueV/cell)"
                 )
+
+
+def _non_finite(block) -> list[str]:
+    """Names of the float fields of a config dataclass that are nan or infinite."""
+    return [
+        f.name
+        for f in fields(block)
+        if isinstance(value := getattr(block, f.name), float) and not math.isfinite(value)
+    ]
 
 
 def default_config() -> RunConfig:

@@ -44,7 +44,11 @@ def dephasing_factor(couplings: CouplingSet, times) -> DephasingTrace:
     odd = counts % 2 == 1
 
     phi = np.empty(len(times))
-    chunk = max(1, int(4e6 / max(1, len(values))))
+    # At most 2^20 elements (or one row) per temporary. Larger ones raise
+    # glibc's mmap threshold, so later calls keep them on the heap and peak RSS
+    # grows with the number of calls. Each row sums over every value, so the
+    # chunk size changes no bit of phi.
+    chunk = max(1, (1 << 20) // max(1, len(values)))
     for i0 in range(0, len(times), chunk):
         x = np.outer(times[i0 : i0 + chunk], values) / HBAR_UEV_NS
         f = 0.5 * (np.cos(0.5 * x) + np.cos(1.5 * x))
@@ -75,18 +79,3 @@ def fit_t2star(trace: DephasingTrace) -> T2Fit:
         t2_star_ns=1.0 / math.sqrt(beta),
         rms_residual=float(np.sqrt(np.mean(resid**2))),
     )
-
-
-def t2star_uniform(n_nuclei: float, a_total_uev: float) -> float:
-    """Closed form sqrt(8/5) sqrt(N) hbar / A for uniform spin-3/2 couplings."""
-    return math.sqrt(8.0 / 5.0) * math.sqrt(n_nuclei) * HBAR_UEV_NS / a_total_uev
-
-
-def sigma_from(n_nuclei: float, a_total_uev: float) -> float:
-    """Overhauser-field spread sigma (1/ns): sigma^2 = I(I+1)/3 A^2/(N hbar^2).
-
-    For spin 3/2 this is 5/4 A^2/(N hbar^2), i.e. sigma = sqrt(2)/T2*.
-    """
-    if n_nuclei < 1:
-        raise ValueError("n_nuclei must be at least 1")
-    return math.sqrt(1.25 * a_total_uev**2 / n_nuclei) / HBAR_UEV_NS

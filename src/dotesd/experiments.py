@@ -25,7 +25,7 @@ from .boxmodel import BoxChannel
 from .config import RunConfig
 from .dephasing import dephasing_factor
 from .entanglement import BellLabel, concurrence_closed_form, witness_closed_form
-from .material import GAAS, HBAR_UEV_NS, MaterialSpec, electron_larmor_uev, uniform_couplings
+from .material import uniform_couplings
 
 
 # C(t) <= ZERO_TOL counts as disentangled.
@@ -241,38 +241,3 @@ def sweep_b(
     else:
         records = [_sweep_record(job) for job in jobs]
     return SweepResult(records=records)
-
-
-def tsd_estimate_high_field(
-    b_field_t: float, sigma_per_ns: float, material: MaterialSpec = GAAS
-) -> float:
-    """High-field estimate t_SD ~ sqrt(2 ln(omega/sigma))/sigma.
-
-    omega is the electron Zeeman angular frequency |g| mu_B B / hbar; the
-    estimate balances the Gaussian coherence decay against occupation
-    oscillations of relative size (sigma/omega)^2.
-    """
-    omega = abs(electron_larmor_uev(b_field_t, material)) / HBAR_UEV_NS
-    if omega <= sigma_per_ns:
-        raise ValueError("estimate undefined: Zeeman frequency must exceed sigma")
-    return math.sqrt(2.0 * math.log(omega / sigma_per_ns)) / sigma_per_ns
-
-
-@dataclass(frozen=True)
-class OscillationMetrics:
-    n_maxima: int
-    amplitude: float
-
-
-def oscillation_metrics(concurrence) -> OscillationMetrics:
-    """Count strict interior local maxima and measure the superimposed
-    oscillation amplitude against the running-maximum-from-the-right envelope."""
-    c = np.asarray(concurrence, dtype=np.float64)
-    if len(c) < 3:
-        return OscillationMetrics(0, 0.0)
-    interior = (c[1:-1] > c[:-2]) & (c[1:-1] > c[2:])
-    envelope = np.maximum.accumulate(c[::-1])[::-1]
-    return OscillationMetrics(
-        n_maxima=int(np.count_nonzero(interior)),
-        amplitude=float(np.max(envelope - c)),
-    )

@@ -3,7 +3,9 @@
 The density-matrix pipeline (Bell states, the product channel on a 4x4
 state, the Wootters concurrence of PRL 80, 2245 (1998), the X-state shortcut
 and the Bell-fidelity witness), the scalar per-block path of the box
-Hamiltonian, and single-qubit channel snapshots. Two-qubit basis ordering:
+Hamiltonian, single-qubit channel snapshots, the closed forms for T2*, the
+Overhauser spread and the high-field t_SD, and the oscillation metrics of a
+concurrence trace. Two-qubit basis ordering:
 |0> = up,up; |1> = up,down; |2> = down,up; |3> = down,down.
 """
 
@@ -226,3 +228,53 @@ def block_amplitudes(params: BlockParams, t_ns: float) -> tuple[complex, complex
     a = phase * (math.cos(omega_t) - 1j * (delta / s) * math.sin(omega_t))
     b = -1j * (params.v / s) * phase * math.sin(omega_t)
     return complex(a), complex(b)
+
+
+def t2star_uniform(n_nuclei: float, a_total_uev: float) -> float:
+    """Closed form sqrt(8/5) sqrt(N) hbar / A for uniform spin-3/2 couplings."""
+    return math.sqrt(8.0 / 5.0) * math.sqrt(n_nuclei) * HBAR_UEV_NS / a_total_uev
+
+
+def sigma_from(n_nuclei: float, a_total_uev: float) -> float:
+    """Overhauser-field spread sigma (1/ns): sigma^2 = I(I+1)/3 A^2/(N hbar^2).
+
+    For spin 3/2 this is 5/4 A^2/(N hbar^2), i.e. sigma = sqrt(2)/T2*.
+    """
+    if n_nuclei < 1:
+        raise ValueError("n_nuclei must be at least 1")
+    return math.sqrt(1.25 * a_total_uev**2 / n_nuclei) / HBAR_UEV_NS
+
+
+def tsd_estimate_high_field(
+    b_field_t: float, sigma_per_ns: float, material: MaterialSpec = GAAS
+) -> float:
+    """High-field estimate t_SD ~ sqrt(2 ln(omega/sigma))/sigma.
+
+    omega is the electron Zeeman angular frequency |g| mu_B B / hbar; the
+    estimate balances the Gaussian coherence decay against occupation
+    oscillations of relative size (sigma/omega)^2.
+    """
+    omega = abs(electron_larmor_uev(b_field_t, material)) / HBAR_UEV_NS
+    if omega <= sigma_per_ns:
+        raise ValueError("estimate undefined: Zeeman frequency must exceed sigma")
+    return math.sqrt(2.0 * math.log(omega / sigma_per_ns)) / sigma_per_ns
+
+
+@dataclass(frozen=True)
+class OscillationMetrics:
+    n_maxima: int
+    amplitude: float
+
+
+def oscillation_metrics(concurrence) -> OscillationMetrics:
+    """Count strict interior local maxima and measure the superimposed
+    oscillation amplitude against the running-maximum-from-the-right envelope."""
+    c = np.asarray(concurrence, dtype=np.float64)
+    if len(c) < 3:
+        return OscillationMetrics(0, 0.0)
+    interior = (c[1:-1] > c[:-2]) & (c[1:-1] > c[2:])
+    envelope = np.maximum.accumulate(c[::-1])[::-1]
+    return OscillationMetrics(
+        n_maxima=int(np.count_nonzero(interior)),
+        amplitude=float(np.max(envelope - c)),
+    )

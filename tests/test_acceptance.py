@@ -19,18 +19,19 @@ from oracles import (
     bell_state,
     concurrence_wootters,
     concurrence_x,
+    oscillation_metrics,
     snapshot,
+    t2star_uniform,
 )
 
 from dotesd.boxmodel import compute_channel, sector_weights
 from dotesd.config import RunConfig, default_config
-from dotesd.dephasing import dephasing_factor, fit_t2star, t2star_uniform
+from dotesd.dephasing import dephasing_factor, fit_t2star
 from dotesd.entanglement import BellLabel, concurrence_closed_form
 from dotesd.experiments import (
     box_equivalent_coupling,
     concurrence_trace,
     find_sudden_death,
-    oscillation_metrics,
     sweep_b,
 )
 from dotesd.material import uniform_couplings

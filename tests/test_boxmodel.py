@@ -1,14 +1,23 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from helpers import dense_channel, multiplicity_by_diagonalization
-from oracles import BlockParams, ChannelSnapshot, apply_snapshot, block_amplitudes, block_params
+from oracles import (
+    BlockParams,
+    ChannelSnapshot,
+    apply_snapshot,
+    block_amplitudes,
+    block_params,
+    t2star_uniform,
+)
 
 from dotesd import boxmodel
 from dotesd.boxmodel import BoxChannel, compute_channel, sector_weights
-from dotesd.dephasing import dephasing_factor, t2star_uniform
+from dotesd.dephasing import dephasing_factor
+from dotesd.experiments import box_equivalent_coupling
 from dotesd.material import HBAR_UEV_NS, uniform_couplings
 
 # box bath matched to the default physical dot (A = 83 ueV over 1.5e6 cells)
@@ -262,6 +271,42 @@ class TestLineSpectrum:
             assert q[0] == 0.0
             assert phi[0].imag == 0.0
             assert phi[0].real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTailCut:
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_within_bound_of_full_table(self, n, monkeypatch):
+        a_box = box_equivalent_coupling(83.0, n, 1_500_000)
+        times = np.linspace(0.0, 60.0, 256)
+        for b in (0.0, 0.02, 1.0):
+            cut = BoxChannel(n, a_box, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(boxmodel, "_TAIL_BUDGET", 0.0)
+                full = BoxChannel(n, a_box, b)
+            assert full.truncation_bound == 0.0
+            assert 0.0 < cut.truncation_bound <= boxmodel._TAIL_BUDGET
+            q_cut, phi_cut = cut.evaluate(times)
+            q_full, phi_full = full.evaluate(times)
+            bound = 2.0 * cut.truncation_bound + 4e-14
+            assert np.abs(q_cut - q_full).max() <= bound
+            assert np.abs(phi_cut - phi_full).max() <= bound
+
+    def test_exact_values_at_zero_for_every_size(self):
+        for n in range(1, 301):
+            a_box = box_equivalent_coupling(83.0, n, 1_500_000)
+            q, phi = BoxChannel(n, a_box, 0.02).evaluate([0.0])
+            assert q[0] == 0.0, n
+            assert phi[0] == 1.0, n
+
+    def test_largest_bath_is_fast_and_completely_positive(self):
+        start = time.perf_counter()
+        n = boxmodel.MAX_SPINS
+        channel = BoxChannel(n, box_equivalent_coupling(83.0, n, 1_500_000), 0.02)
+        q, phi = channel.evaluate(np.linspace(0.0, 100.0, 50))
+        elapsed = time.perf_counter() - start
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(phi))
+        assert np.all(q >= 0.0) and np.all(np.abs(phi) <= 1.0 - q + 1e-10)
+        assert elapsed < 5.0
 
 
 class TestApplySnapshot:

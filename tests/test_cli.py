@@ -119,6 +119,19 @@ class TestConfig:
             "    - {name: Ga69, a0_uev: 36.0, abundance: 0.604, sublattice: Ga}\n"
             "    - {name: Ga71, a0_uev: 46.0, abundance: 0.396, sublattice: Ga}\n"
             "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As, spin: 4.5}\n",
+            "dots:\n  - {a_total_uev: .nan}\n  - {}\n",
+            "grid: {t_max_ns: .inf}\n",
+            "grid: {horizon_ns: .nan}\n",
+            "material: {g_factor: .nan}\n",
+            "material: {cell_volume_nm3: .inf}\n",
+            "material:\n"
+            "  isotopes:\n"
+            "    - {name: Ga69, a0_uev: 36.0, abundance: 0.604, sublattice: Ga}\n"
+            "    - {name: Ga71, a0_uev: .nan, abundance: 0.396, sublattice: Ga}\n"
+            "    - {name: As75, a0_uev: 43.0, abundance: 1.0, sublattice: As}\n",
+            "dots:\n  - {l_perp_nm: .nan}\n  - {}\n",
+            "dots:\n  - {}\n  - {l_perp_nm: -20.0}\n",
+            "dots:\n  - {l_z_nm: 0.0}\n  - {}\n",
         ],
         ids=[
             "grid-key",
@@ -132,6 +145,15 @@ class TestConfig:
             "seed-fraction",
             "t-steps-fraction",
             "isotope-spin",
+            "a-total-nan",
+            "t-max-inf",
+            "horizon-nan",
+            "g-factor-nan",
+            "cell-volume-inf",
+            "isotope-a0-nan",
+            "l-perp-nan",
+            "l-perp-negative",
+            "l-z-zero",
         ],
     )
     def test_rejected_before_computing(self, tmp_path, monkeypatch, text):
@@ -145,6 +167,22 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("channel", "--b-mt", "nan"),
+            ("concurrence", "--b-mt", "inf"),
+            ("sweep", "--b-min-mt", "nan", "--b-steps", "2"),
+            ("sweep", "--b-max-mt=-inf"),
+        ],
+        ids=["channel-nan", "concurrence-inf", "sweep-min-nan", "sweep-max-inf"],
+    )
+    def test_non_finite_field_flag_rejected(self, capsys, argv):
+        code, out, _ = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in capsys.readouterr().err
 
     def test_inconsistent_a_total_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import dense_channel
+from oracles import sigma_from, t2star_uniform
 
-from dotesd.dephasing import (
-    DephasingTrace,
-    dephasing_factor,
-    fit_t2star,
-    sigma_from,
-    t2star_uniform,
-)
+from dotesd.dephasing import DephasingTrace, dephasing_factor, fit_t2star
 from dotesd.material import HBAR_UEV_NS as HBAR
 from dotesd.material import CouplingSet, uniform_couplings
 

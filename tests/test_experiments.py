@@ -4,18 +4,17 @@ import os
 import numpy as np
 import pytest
 
+from oracles import oscillation_metrics, sigma_from, t2star_uniform, tsd_estimate_high_field
+
 from dotesd.boxmodel import BoxChannel
 from dotesd.config import DotConfig, GridConfig, RunConfig, default_config
-from dotesd.dephasing import sigma_from, t2star_uniform
 from dotesd.entanglement import BellLabel
 from dotesd.experiments import (
     box_equivalent_coupling,
     concurrence_trace,
     find_sudden_death,
-    oscillation_metrics,
     pool_size,
     sweep_b,
-    tsd_estimate_high_field,
 )
 
 SIGMA = sigma_from(1_500_000, 83.0)
