@@ -4,9 +4,9 @@ The density-matrix pipeline (Bell states, the product channel on a 4x4
 state, the Wootters concurrence of PRL 80, 2245 (1998), the X-state shortcut
 and the Bell-fidelity witness), the scalar per-block path of the box
 Hamiltonian, single-qubit channel snapshots, the closed forms for T2*, the
-Overhauser spread and the high-field t_SD, and the oscillation metrics of a
-concurrence trace. Two-qubit basis ordering:
-|0> = up,up; |1> = up,down; |2> = down,up; |3> = down,down.
+Overhauser spread and the high-field t_SD, the pure-dephasing product summed
+term by term, and the oscillation metrics of a concurrence trace. Two-qubit
+basis ordering: |0> = up,up; |1> = up,down; |2> = down,up; |3> = down,down.
 """
 
 from __future__ import annotations
@@ -233,6 +233,33 @@ def block_amplitudes(params: BlockParams, t_ns: float) -> tuple[complex, complex
 def t2star_uniform(n_nuclei: float, a_total_uev: float) -> float:
     """Closed form sqrt(8/5) sqrt(N) hbar / A for uniform spin-3/2 couplings."""
     return math.sqrt(8.0 / 5.0) * math.sqrt(n_nuclei) * HBAR_UEV_NS / a_total_uev
+
+
+def dephasing_fsum(a_k, times) -> np.ndarray:
+    """prod_k cos(x_k) cos(x_k/2), x_k = A_k t/hbar, by a correctly rounded log-sum.
+
+    Each factor's log is log1p(-2 sin^2(x/2)) + log1p(-2 sin^2(x/4)) for
+    |x| < 1, which keeps the digits that 1 - f loses, and
+    log|cos x| + log|cos(x/2)| elsewhere. math.fsum adds the logs of each
+    time, so the only rounding left is per factor. Odd multiplicities of
+    negative factors set the sign.
+    """
+    values, counts = np.unique(np.asarray(a_k, dtype=np.float64), return_counts=True)
+    odd = counts % 2 == 1
+    phi = np.empty(len(times))
+    for i, t in enumerate(np.asarray(times, dtype=np.float64)):
+        x = t * values / HBAR_UEV_NS
+        small = np.abs(x) < 1.0
+        logs = np.empty(len(x))
+        xs, xl = x[small], x[~small]
+        logs[small] = np.log1p(-2.0 * np.sin(0.5 * xs) ** 2) + np.log1p(
+            -2.0 * np.sin(0.25 * xs) ** 2
+        )
+        with np.errstate(divide="ignore"):
+            logs[~small] = np.log(np.abs(np.cos(xl))) + np.log(np.abs(np.cos(0.5 * xl)))
+        negative = np.count_nonzero((np.cos(x) * np.cos(0.5 * x) < 0) & odd) % 2 == 1
+        phi[i] = (-1.0 if negative else 1.0) * math.exp(math.fsum((counts * logs).tolist()))
+    return phi
 
 
 def sigma_from(n_nuclei: float, a_total_uev: float) -> float:

@@ -29,6 +29,20 @@ def parse_table(text):
     return header, rows
 
 
+def run_per_blas_threads(*argv):
+    """stdout and stderr of `python -m dotesd.cli argv` under 1 and 2 BLAS threads."""
+    stdout, stderr = [], []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
+        result = subprocess.run(
+            [sys.executable, "-m", "dotesd.cli", *argv], capture_output=True, env=env, timeout=600
+        )
+        assert result.returncode == 0
+        stdout.append(result.stdout)
+        stderr.append(result.stderr)
+    return stdout, stderr
+
+
 SMALL_CONFIG = """
 dots:
   - {n_spins: 30, n_cells: 1500000, a_total_uev: 83.0, l_perp_nm: 20.0, l_z_nm: 2.0, seed: 1}
@@ -315,17 +329,11 @@ class TestSweepCommand:
             assert "--b-steps" in err
 
     def test_output_independent_of_blas_threads(self, small_config_file):
-        argv = [
-            sys.executable, "-m", "dotesd.cli", "--config", small_config_file, "sweep",
+        stdout, _ = run_per_blas_threads(
+            "--config", small_config_file, "sweep",
             "--b-min-mt", "8", "--b-max-mt", "16", "--b-steps", "3",
-        ]
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
-            result = subprocess.run(argv, capture_output=True, env=env, timeout=600)
-            assert result.returncode == 0
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1]
+        )
+        assert stdout[0] == stdout[1]
 
     def test_absent_death_serialized_as_nan(self, tmp_path):
         # a short horizon leaves entanglement alive at every field
@@ -346,6 +354,17 @@ class TestSweepCommand:
 
 
 class TestDephasingCommand:
+    def test_realistic_output_independent_of_blas_threads(self, tmp_path):
+        # 20,000 cells: the largest couplings pass the series limit on this grid
+        path = tmp_path / "small_dot.yaml"
+        path.write_text(SMALL_CONFIG.replace("n_cells: 1500000", "n_cells: 20000"))
+        stdout, stderr = run_per_blas_threads(
+            "--config", str(path), "dephasing", "--mode", "realistic"
+        )
+        assert stdout[0] == stdout[1]
+        assert stderr[0] == stderr[1]
+        assert b"t2_star_ns=" in stderr[0]
+
     def test_uniform_summary(self, small_config_file):
         code, out, err = run_cli("--config", small_config_file, "dephasing", "--mode", "uniform")
         assert code == 0

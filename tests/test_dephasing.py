@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import dense_channel
-from oracles import sigma_from, t2star_uniform
+from oracles import dephasing_fsum, sigma_from, t2star_uniform
 
+from dotesd import dephasing
 from dotesd.dephasing import DephasingTrace, dephasing_factor, fit_t2star
+from dotesd.material import GAAS, CouplingSet, DotGeometry, generate_couplings, uniform_couplings
 from dotesd.material import HBAR_UEV_NS as HBAR
-from dotesd.material import CouplingSet, uniform_couplings
 
 
 def coupling_set(values):
@@ -65,6 +67,89 @@ class TestDephasingFactor:
     def test_rejects_nonpositive_couplings(self):
         with pytest.raises(ValueError):
             dephasing_factor(coupling_set([1.0, -0.3]), [0.0, 1.0])
+
+
+def assert_matches_fsum(couplings, times):
+    """Relative agreement with the fsum oracle wherever |phi| >= 1e-300.
+
+    Both sides round a log-sum of size L, so the grids keep |L| below about
+    200 (|phi| >= 1e-87), where that rounding stays under 3e-14.
+    """
+    phi = dephasing_factor(couplings, times).phi
+    ref = dephasing_fsum(couplings.a_k, times)
+    keep = np.abs(ref) >= 1e-300
+    assert keep.sum() > len(times) // 2
+    np.testing.assert_allclose(phi[keep], ref[keep], rtol=1e-13, atol=0)
+
+
+class TestAgainstFsumOracle:
+    def test_megaspin_uniform_bath(self):
+        # 1.5e6 copies of one coupling: a per-factor log rounding is
+        # amplified 1.5e6-fold unless the small-argument log is summed exactly
+        assert_matches_fsum(uniform_couplings(83.0, 1_500_000), np.linspace(0.0, 100.0, 2000))
+
+    def test_small_realistic_dot_spans_both_paths(self):
+        couplings = generate_couplings(GAAS, DotGeometry(20.0, 2.0, 500, 7))
+        times = np.linspace(0.0, 2.0, 2000)
+        y = couplings.a_k * times[-1] / HBAR
+        assert np.any(y <= dephasing._SERIES_X) and np.any(y > dephasing._SERIES_X)
+        assert_matches_fsum(couplings, times)
+
+    def test_hand_made_set_straddles_series_limit(self):
+        # arguments at t_max from 0.05 to 1.2 rad, multiplicities 1 to 4
+        t_max = 37.0
+        y = np.linspace(0.05, 1.2, 24)
+        values = np.repeat(y * HBAR / t_max, np.arange(24) % 4 + 1)
+        times = np.concatenate([np.linspace(0.0, t_max, 500), [-t_max, -0.5 * t_max]])
+        assert_matches_fsum(coupling_set(values), times)
+
+    def test_all_zero_times(self):
+        trace = dephasing_factor(uniform_couplings(83.0, 1_500_000), np.zeros(3))
+        assert np.array_equal(trace.phi, np.ones(3))
+
+
+def _bernoulli(n_max):
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def _log_cos_coefficients(j_max):
+    """Exact l_j of log cos x = sum_j l_j x^(2j), j = 1..j_max, from Bernoulli numbers."""
+    b = _bernoulli(2 * j_max)
+    return [
+        Fraction((-1) ** j * 2 ** (2 * j - 1) * (4**j - 1)) * b[2 * j] / (j * math.factorial(2 * j))
+        for j in range(1, j_max + 1)
+    ]
+
+
+def _series_coefficients(j_max):
+    """Exact c_j = l_j (1 + 4^-j) of log[cos x cos(x/2)]."""
+    return [ell * (1 + Fraction(1, 4**j)) for j, ell in enumerate(_log_cos_coefficients(j_max), 1)]
+
+
+class TestSeriesConstants:
+    def test_first_log_cos_coefficients(self):
+        expected = [Fraction(-1, 2), Fraction(-1, 12), Fraction(-1, 45), Fraction(-17, 2520)]
+        assert _log_cos_coefficients(4) == expected
+
+    def test_literals_are_rounded_exact_coefficients(self):
+        exact = _series_coefficients(len(dephasing._SERIES_COEFFS))
+        assert list(dephasing._SERIES_COEFFS) == [float(c) for c in exact]
+
+    def test_ratio_bound(self):
+        c = _series_coefficients(41)
+        assert all(c_j < 0 for c_j in c)
+        assert all(abs(c[j + 1] / c[j]) <= 4 / math.pi**2 for j in range(40))
+
+    def test_tail_certified_below_half_ulp(self):
+        x, n_terms = dephasing._SERIES_X, len(dephasing._SERIES_COEFFS)
+        c = _series_coefficients(n_terms + 1)
+        tail = abs(float(c[n_terms])) * x ** (2 * n_terms) / (
+            abs(float(c[0])) * (1.0 - 4.0 * x * x / math.pi**2)
+        )
+        assert tail <= 2.0**-53
 
 
 class TestFitT2Star:
